@@ -258,10 +258,6 @@ def matmul(a, b):
     return _make(out, (a, b), (grad_a, grad_b))
 
 
-def dot(a, b):
-    return matmul(a, b)
-
-
 def _norm_axes(axis, ndim):
     if axis is None:
         return tuple(range(ndim))

@@ -23,7 +23,7 @@ from .matching import (
     ModelConfig,
     PairCorpus,
     TrainConfig,
-    ablation_variant,
+    VariantScorer,
     evaluate,
     init_model,
     load_model,
@@ -272,7 +272,7 @@ def cmd_ablate(cfg, seed, out_dir, args):
     flagship_model = None
     for pairing in ("phi_psi", "f_f", "rho_rho", "phi_phi", "psi_psi"):
         model = init_model(_model_config(cfg), seed)
-        scorer = ablation_variant(model, pairing, "bilinear", seed=seed)
+        scorer = VariantScorer(model, pairing, "bilinear", seed=seed)
         train(corpus_train, model, tc, scorer=scorer)
         metrics = evaluate(corpus_test, model, scorer=scorer)
         rows.append((pairing, "bilinear", metrics["auc"], metrics["f1"],
@@ -281,7 +281,7 @@ def cmd_ablate(cfg, seed, out_dir, args):
             flagship_model = model
     for pairing in ("phi_psi", "f_f", "rho_rho", "phi_phi", "psi_psi"):
         for disc in ("cosine", "l2"):
-            scorer = ablation_variant(flagship_model, pairing, disc)
+            scorer = VariantScorer(flagship_model, pairing, disc)
             metrics = evaluate(corpus_test, flagship_model, scorer=scorer)
             rows.append((pairing, disc, metrics["auc"], metrics["f1"],
                          metrics["precision"], metrics["recall"]))
@@ -312,7 +312,7 @@ def cmd_place(cfg, seed, out_dir, args):
         pairs, model,
         threshold=None if cfg["place.tune"] else cfg["place.gamma_f"],
         seed=seed, dustbin=cfg["place.dustbin"], tau=cfg["place.tau"],
-        iterations=cfg["place.iters"])
+        iterations=cfg["place.iters"], radius=cfg["place.radius"])
     _write_csv(out_dir, "place_pairs.csv",
                ["frame_a", "frame_b", "score", "decision", "same_place"],
                [(fa, fb, "%.10f" % s, d, y)

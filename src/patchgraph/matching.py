@@ -24,6 +24,7 @@ loss over labeled pairs.
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -142,11 +143,22 @@ def init_model(config, seed):
 
 
 def save_model(path, model):
-    """Tensor checkpoint plus a JSON config sidecar at <path>.config.json."""
-    ad.save_named_tensors(path, {k: v.data for k, v in
-                                 model.named_tensors().items()})
-    with open(str(path) + ".config.json", "w") as fh:
-        json.dump(vars(model.config), fh, indent=1, sort_keys=True)
+    """Tensor checkpoint plus a JSON config sidecar at <path>.config.json,
+    both renamed into place only after both writes succeed."""
+    path = str(path)
+    config_path = path + ".config.json"
+    staged, config_staged = path + ".tmp", config_path + ".tmp"
+    try:
+        ad.save_named_tensors(staged, {k: v.data for k, v in
+                                       model.named_tensors().items()})
+        with open(config_staged, "w") as fh:
+            json.dump(vars(model.config), fh, indent=1, sort_keys=True)
+        os.replace(config_staged, config_path)
+        os.replace(staged, path)
+    finally:
+        for leftover in (staged, config_staged):
+            if os.path.exists(leftover):
+                os.remove(leftover)
 
 
 def load_model(path):
@@ -208,10 +220,10 @@ def discriminate(phi, psi, disc):
     g_y = ad.slice1d(psi, 0, n)
     rho_y = ad.slice1d(psi, n, 2 * n)
     f_y = ad.slice1d(psi, 2 * n, 3 * n)
-    logit = (ad.dot(rho_x, disc.m12 @ rho_y)
-             + ad.dot(f_x, disc.m21 @ g_y)
-             + ad.dot(f_x, disc.m22 @ rho_y)
-             + ad.dot(f_x, disc.m23 @ f_y))
+    logit = (rho_x @ (disc.m12 @ rho_y)
+             + f_x @ (disc.m21 @ g_y)
+             + f_x @ (disc.m22 @ rho_y)
+             + f_x @ (disc.m23 @ f_y))
     return ad.sigmoid(logit)
 
 
@@ -233,97 +245,9 @@ class MatchResult:
     score_yx: float   # d(phi_y, psi_{G_x})
 
 
-class FlagshipScorer:
-    """Directed block-bilinear scores between phi and the partner's psi."""
-
-    def __init__(self, model):
-        self.model = model
-
-    def embed(self, patch, frame, cache=None):
-        key = (frame.frame_id, patch.patch_id)
-        if cache is not None and key in cache:
-            return cache[key]
-        emb = assemble_embeddings(patch, frame, self.model)
-        if cache is not None:
-            cache[key] = emb
-        return emb
-
-    def score_pair(self, patch_x, frame_x, patch_y, frame_y, cache=None):
-        ex = self.embed(patch_x, frame_x, cache)
-        ey = self.embed(patch_y, frame_y, cache)
-        return (discriminate(ex.phi, ey.psi, self.model.disc),
-                discriminate(ey.phi, ex.psi, self.model.disc))
-
-    def trainable(self):
-        return self.model.trainable()
-
-
-def match_score(patch_x, frame_x, patch_y, frame_y, model, gamma=None):
-    """Symmetric score S = (d(phi_x,psi_y) + d(phi_y,psi_x)) / 2 and the
-    strict-threshold decision."""
-    gamma = model.config.gamma if gamma is None else gamma
-    d_xy, d_yx = FlagshipScorer(model).score_pair(patch_x, frame_x,
-                                                  patch_y, frame_y)
-    s = 0.5 * (float(d_xy.data) + float(d_yx.data))
-    return MatchResult(score=s, decision=int(s > gamma),
-                       score_xy=float(d_xy.data), score_yx=float(d_yx.data))
-
-
-# -- loss ---------------------------------------------------------------------
-
-def loss_from_scores(score_pairs, labels):
-    """-(1/N) sum of per-pair two-direction log terms; scores clamped to
-    [1e-7, 1-1e-7] before the log."""
-    if len(score_pairs) == 0:
-        raise ValueError("empty batch")
-    if len(score_pairs) != len(labels):
-        raise ValueError("score/label count mismatch")
-    lo, hi = SCORE_CLAMP
-    terms = []
-    for (d1, d2), label in zip(score_pairs, labels):
-        d1 = ad.clamp(ad.reshape(d1, (1,)), lo, hi)
-        d2 = ad.clamp(ad.reshape(d2, (1,)), lo, hi)
-        if label == 1:
-            term = (ad.log(d1) + ad.log(d2)) * 0.5
-        elif label == 0:
-            term = (ad.log(1.0 - d1) + ad.log(1.0 - d2)) * 0.5
-        else:
-            raise ValueError("labels must be 0 or 1, got %r" % (label,))
-        terms.append(ad.reshape(term, ()))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return -(total * (1.0 / len(terms)))
-
-
-def loss_emp_id(batch, model, scorer=None, cache=None):
-    """Information-distance loss over labeled patch pairs.
-
-    ``batch`` rows are (patch_x, frame_x, patch_y, frame_y, label).
-    """
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    scorer = FlagshipScorer(model) if scorer is None else scorer
-    cache = {} if cache is None else cache
-    score_pairs = [scorer.score_pair(px, fx, py, fy, cache)
-                   for (px, fx, py, fy, _) in batch]
-    return loss_from_scores(score_pairs, [row[4] for row in batch])
-
-
-# -- ablation variants --------------------------------------------------------
-
 def _pairing_vectors(ex, ey, pairing):
-    if pairing == "f_f":
-        return ex.f, ey.f
-    if pairing == "rho_rho":
-        return ex.rho, ey.rho
-    if pairing == "phi_phi":
-        return ex.phi, ey.phi
-    if pairing == "psi_psi":
-        return ex.psi, ey.psi
-    if pairing == "phi_psi":
-        return ex.phi, ey.psi
-    raise ValueError("unknown pairing %r" % pairing)
+    field_x, field_y = pairing.split("_")
+    return getattr(ex, field_x), getattr(ey, field_y)
 
 
 def _cosine_score(a, b):
@@ -331,26 +255,28 @@ def _cosine_score(a, b):
     nb = math.sqrt(float(b.data @ b.data))
     if na == 0.0 or nb == 0.0:
         return ad.constant(0.5)
-    return ad.dot(a, b) * (1.0 / (na * nb)) * 0.5 + 0.5
+    return (a @ b) * (1.0 / (na * nb)) * 0.5 + 0.5
 
 
 def _l2_score(a, b):
     # exp(-||a-b||); exact 1.0 for identical vectors.  Metric variants are
     # never trained, so the sqrt kink at 0 never sees a backward pass.
     diff = a - b
-    return ad.exp(-ad.sqrt(ad.dot(diff, diff)))
+    return ad.exp(-ad.sqrt(diff @ diff))
 
 
 class VariantScorer:
-    """Ablation scorer: one embedding pairing x one discriminator family.
+    """Directed scores for one embedding pairing x one discriminator family.
 
-    The learnable-bilinear flagship (phi_psi) uses the model's block
-    discriminator; other bilinear pairings use a plain square matrix.  The
-    cosine and L2 discriminators need equal-length operands, so the
-    phi_psi pairing falls back to comparing the two psi vectors.
+    The defaults (phi_psi, bilinear) are the flagship: the model's block
+    discriminator between phi and the partner's psi.  The other pairings
+    are the ablation variants; their bilinear form is a plain square
+    matrix.  The cosine and L2 discriminators need equal-length operands,
+    so the phi_psi pairing falls back to comparing the two psi vectors.
     """
 
-    def __init__(self, model, pairing, discriminator, seed=0):
+    def __init__(self, model, pairing="phi_psi", discriminator="bilinear",
+                 seed=0):
         if pairing not in PAIRINGS:
             raise ValueError("unknown pairing %r" % pairing)
         if discriminator not in DISCRIMINATORS:
@@ -367,24 +293,26 @@ class VariantScorer:
             self.matrix = ad.parameter(
                 rng.uniform(-1.0 / width, 1.0 / width, size=(width, width)))
 
-    def embed(self, patch, frame, cache=None):
-        return FlagshipScorer(self.model).embed(patch, frame, cache)
+    def embed(self, patch, frame, cache):
+        key = (frame.frame_id, patch.patch_id)
+        if key not in cache:
+            cache[key] = assemble_embeddings(patch, frame, self.model)
+        return cache[key]
 
     def _directed(self, ex, ey):
         if self.discriminator == "bilinear":
             if self.pairing == "phi_psi":
                 return discriminate(ex.phi, ey.psi, self.model.disc)
             a, b = _pairing_vectors(ex, ey, self.pairing)
-            return ad.sigmoid(ad.dot(a, self.matrix @ b))
-        if self.pairing == "phi_psi":
-            a, b = ex.psi, ey.psi
-        else:
-            a, b = _pairing_vectors(ex, ey, self.pairing)
+            return ad.sigmoid(a @ (self.matrix @ b))
+        pairing = "psi_psi" if self.pairing == "phi_psi" else self.pairing
+        a, b = _pairing_vectors(ex, ey, pairing)
         if self.discriminator == "cosine":
             return _cosine_score(a, b)
         return _l2_score(a, b)
 
     def score_pair(self, patch_x, frame_x, patch_y, frame_y, cache=None):
+        cache = {} if cache is None else cache
         ex = self.embed(patch_x, frame_x, cache)
         ey = self.embed(patch_y, frame_y, cache)
         return self._directed(ex, ey), self._directed(ey, ex)
@@ -398,8 +326,63 @@ class VariantScorer:
                 + self.model.gnn.trainable() + [self.matrix])
 
 
-def ablation_variant(model, pairing, discriminator, seed=0):
-    return VariantScorer(model, pairing, discriminator, seed=seed)
+def symmetric_scores(rows, scorer, cache=None):
+    """Inference scores (d_xy + d_yx) / 2 for rows that start with
+    (patch_x, frame_x, patch_y, frame_y); each patch is embedded once per
+    ``cache``."""
+    cache = {} if cache is None else cache
+    scores = []
+    with ad.no_grad():
+        for px, fx, py, fy, *_ in rows:
+            d1, d2 = scorer.score_pair(px, fx, py, fy, cache)
+            scores.append(0.5 * (float(d1.data) + float(d2.data)))
+    return scores
+
+
+def match_score(patch_x, frame_x, patch_y, frame_y, model, gamma=None):
+    """Symmetric score S = (d(phi_x,psi_y) + d(phi_y,psi_x)) / 2 and the
+    strict-threshold decision."""
+    gamma = model.config.gamma if gamma is None else gamma
+    d_xy, d_yx = VariantScorer(model).score_pair(patch_x, frame_x,
+                                                 patch_y, frame_y)
+    s = 0.5 * (float(d_xy.data) + float(d_yx.data))
+    return MatchResult(score=s, decision=int(s > gamma),
+                       score_xy=float(d_xy.data), score_yx=float(d_yx.data))
+
+
+# -- loss ---------------------------------------------------------------------
+
+def loss_from_scores(score_pairs, labels):
+    """-(1/2N) sum over all 2N directed scores d of y log d + (1-y) log(1-d);
+    scores clamped to [1e-7, 1-1e-7] before the log."""
+    if len(score_pairs) == 0:
+        raise ValueError("empty batch")
+    if len(score_pairs) != len(labels):
+        raise ValueError("score/label count mismatch")
+    bad = [label for label in labels if label not in (0, 1)]
+    if bad:
+        raise ValueError("labels must be 0 or 1, got %r" % (bad[0],))
+    lo, hi = SCORE_CLAMP
+    d = ad.clamp(ad.concat([ad.reshape(s, (1,)) for pair in score_pairs
+                            for s in pair]), lo, hi)
+    y = np.repeat(np.asarray(labels, dtype=np.float64), 2)
+    # d where y = 1 and 1 - d where y = 0, both exact in floating point
+    picked = d * (2.0 * y - 1.0) + (1.0 - y)
+    return ad.tsum(ad.log(picked)) * (-0.5 / len(labels))
+
+
+def loss_emp_id(batch, model, scorer=None, cache=None):
+    """Information-distance loss over labeled patch pairs.
+
+    ``batch`` rows are (patch_x, frame_x, patch_y, frame_y, label).
+    """
+    if len(batch) == 0:
+        raise ValueError("empty batch")
+    scorer = VariantScorer(model) if scorer is None else scorer
+    cache = {} if cache is None else cache
+    score_pairs = [scorer.score_pair(px, fx, py, fy, cache)
+                   for (px, fx, py, fy, _) in batch]
+    return loss_from_scores(score_pairs, [row[4] for row in batch])
 
 
 # -- datasets of labeled pairs ------------------------------------------------
@@ -470,7 +453,7 @@ def train(corpus, model, train_config, scorer=None):
         warnings.warn("training corpus has a single class (%s); the loss "
                       "is still defined but cannot contrast pairs"
                       % ("matched" if 1 in labels else "unmatched"))
-    scorer = FlagshipScorer(model) if scorer is None else scorer
+    scorer = VariantScorer(model) if scorer is None else scorer
     params = scorer.trainable()
     state = ad.AdamState(lr=train_config.lr)
     rng = rng_for(train_config.seed, "train")
@@ -480,8 +463,8 @@ def train(corpus, model, train_config, scorer=None):
         epoch_losses = []
         for start in range(0, len(order), train_config.batch_size):
             batch = order[start:start + train_config.batch_size]
-            cache = {}  # params change every step; cache lives one batch
-            loss = loss_emp_id(batch, model, scorer=scorer, cache=cache)
+            # a fresh cache per batch: the parameters change every step
+            loss = loss_emp_id(batch, model, scorer=scorer)
             grads = ad.gradients(loss, params)
             ad.adam_step(params, grads, state)
             epoch_losses.append(float(loss.data))
@@ -526,14 +509,9 @@ def evaluate(corpus, model, gamma=None, scorer=None):
     if not corpus.rows:
         raise ValueError("empty test set")
     gamma = model.config.gamma if gamma is None else gamma
-    scorer = FlagshipScorer(model) if scorer is None else scorer
-    cache = {}
-    scores, labels = [], []
-    with ad.no_grad():
-        for (px, fx, py, fy, label) in corpus.rows:
-            d1, d2 = scorer.score_pair(px, fx, py, fy, cache)
-            scores.append(0.5 * (float(d1.data) + float(d2.data)))
-            labels.append(label)
+    scorer = VariantScorer(model) if scorer is None else scorer
+    scores = symmetric_scores(corpus.rows, scorer)
+    labels = corpus.labels()
     decisions = [int(s > gamma) for s in scores]
     tp = sum(1 for d, y in zip(decisions, labels) if d == 1 and y == 1)
     fp = sum(1 for d, y in zip(decisions, labels) if d == 1 and y == 0)

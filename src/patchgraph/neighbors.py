@@ -1,7 +1,6 @@
 """Spatial neighborhood graphs: the clique over a patch and its nearest
 same-frame neighbors by 3D location."""
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +30,6 @@ class NeighborhoodGraph:
     @property
     def size(self):
         return len(self.vertices)
-
-    def debug_dump(self):
-        return json.dumps({
-            "center": self.vertices[self.center_index].patch_id,
-            "vertices": [v.patch_id for v in self.vertices],
-            "adjacency": self.adjacency.astype(int).tolist(),
-        })
 
 
 def _require_location(patch):
@@ -76,8 +68,3 @@ def graph_for_patch(patch, frame, k=DEFAULT_K):
     """Neighborhood graph of one patch within its frame."""
     others = [p for p in frame.patches if p.patch_id != patch.patch_id]
     return build_clique(patch, knn_neighbors(patch, others, k))
-
-
-def frame_graphs(frame, k=DEFAULT_K):
-    """Neighborhood graphs for every patch of a frame, keyed by patch id."""
-    return {p.patch_id: graph_for_patch(p, frame, k) for p in frame.patches}

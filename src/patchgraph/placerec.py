@@ -4,7 +4,8 @@ Pipeline: score every cross-frame patch pair with the trained matcher,
 solve a partial assignment over the score matrix (log-domain Sinkhorn with
 a dustbin row/column for unmatched patches), and aggregate the assigned
 scores into one frame similarity in [0, 1].  Two frames count as the same
-place when their camera positions are less than 10 meters apart.
+place when their camera positions are less than a radius apart (10 meters
+by default).
 """
 
 import math
@@ -12,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .matching import FlagshipScorer
+from .matching import VariantScorer, symmetric_scores
 from .seeds import rng_for
 
 SAME_PLACE_RADIUS_M = 10.0
@@ -50,19 +50,18 @@ class PartialAssignment:
         return self.plan[:-1, :-1]
 
 
-def score_matrix(frame_a, frame_b, model, scorer=None, dustbin=DUSTBIN_DEFAULT):
+def score_matrix(frame_a, frame_b, model, scorer=None, dustbin=DUSTBIN_DEFAULT,
+                 cache=None):
     """S[i][j] = symmetric match score between patch i of frame A and
-    patch j of frame B; embeddings are computed once per patch."""
+    patch j of frame B; embeddings are computed once per patch, and once
+    across calls that share ``cache``."""
     if not frame_a.patches or not frame_b.patches:
         raise ValueError("both frames need at least one patch")
-    scorer = FlagshipScorer(model) if scorer is None else scorer
-    cache = {}
-    out = np.zeros((len(frame_a.patches), len(frame_b.patches)))
-    with ad.no_grad():
-        for i, pa in enumerate(frame_a.patches):
-            for j, pb in enumerate(frame_b.patches):
-                d1, d2 = scorer.score_pair(pa, frame_a, pb, frame_b, cache)
-                out[i, j] = 0.5 * (float(d1.data) + float(d2.data))
+    scorer = VariantScorer(model) if scorer is None else scorer
+    rows = [(pa, frame_a, pb, frame_b) for pa in frame_a.patches
+            for pb in frame_b.patches]
+    out = np.reshape(symmetric_scores(rows, scorer, cache),
+                     (len(frame_a.patches), len(frame_b.patches)))
     return ScoreMatrix(out, dustbin=dustbin)
 
 
@@ -158,15 +157,19 @@ class PlaceRecognitionReport:
 def place_recognition_eval(frame_pairs, model, threshold=None,
                            val_fraction=0.5, seed=0, scorer=None,
                            dustbin=DUSTBIN_DEFAULT, tau=SINKHORN_TAU,
-                           iterations=SINKHORN_ITERS):
+                           iterations=SINKHORN_ITERS,
+                           radius=SAME_PLACE_RADIUS_M):
     """Score frame pairs, tune the threshold on a validation split when
-    none is given, and report F1/accuracy on the remaining pairs."""
+    none is given, and report F1/accuracy on the remaining pairs.  One
+    embedding cache, keyed by (frame id, patch id), serves the whole run."""
     if not frame_pairs:
         raise ValueError("no frame pairs to evaluate")
+    cache = {}
     scored = []
     for fa, fb in frame_pairs:
-        label = same_place_label(fa, fb)
-        s = score_matrix(fa, fb, model, scorer=scorer, dustbin=dustbin)
+        label = same_place_label(fa, fb, radius)
+        s = score_matrix(fa, fb, model, scorer=scorer, dustbin=dustbin,
+                         cache=cache)
         plan = sinkhorn_assign(s, iterations=iterations, tau=tau)
         value = frame_match_score(s, plan).score
         scored.append((fa.frame_id, fb.frame_id, value, label))

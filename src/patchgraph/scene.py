@@ -365,18 +365,6 @@ def ground_truth_pairs(frame_a, frame_b, tau_match=1.0, max_pairs=None, rng=None
     return entries, disagreements
 
 
-def pair_frames(frames, min_gap_m=2.0, max_dist_m=25.0):
-    """Frame pairs whose camera distance lies in [min_gap_m, max_dist_m],
-    both bounds inclusive."""
-    out = []
-    for i in range(len(frames)):
-        for j in range(i + 1, len(frames)):
-            d = float(np.linalg.norm(frames[i].position - frames[j].position))
-            if min_gap_m <= d <= max_dist_m:
-                out.append((frames[i], frames[j]))
-    return out
-
-
 # -- PGM / PPM ---------------------------------------------------------------
 
 def write_image(path, pixels):
@@ -490,7 +478,9 @@ def load_dataset(manifest_path, pairs_path=None, split="train"):
     """Read a manifest written by save_dataset (or prepared externally).
 
     Malformed records are skipped and reported in ``diagnostics`` as
-    "record N: reason"; loading never raises for per-record problems.
+    "record N: reason", and pairs.csv rows that name a patch not loaded or
+    carry a label other than 0 or 1 as "pairs row N: reason"; loading never
+    raises for per-record problems.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     frames = []
@@ -532,9 +522,17 @@ def load_dataset(manifest_path, pairs_path=None, split="train"):
         pairs_path = candidate if os.path.exists(candidate) else None
     if pairs_path is not None:
         with open(pairs_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                entries.append(PairEntry(row["patch_a"], row["patch_b"],
-                                         int(row["label"])))
+            for idx, row in enumerate(csv.DictReader(fh), start=1):
+                ids = (row.get("patch_a"), row.get("patch_b"))
+                unknown = [pid for pid in ids if pid not in seen_patch_ids]
+                if unknown:
+                    diagnostics.append("pairs row %d: unknown patch %r"
+                                       % (idx, unknown[0]))
+                elif row.get("label") not in ("0", "1"):
+                    diagnostics.append("pairs row %d: label %r is not 0 or 1"
+                                       % (idx, row.get("label")))
+                else:
+                    entries.append(PairEntry(*ids, int(row["label"])))
     return LoadedDataset(frames=frames,
                          pairs=PairDataset(entries=entries, split=split),
                          diagnostics=diagnostics)

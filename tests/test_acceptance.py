@@ -42,7 +42,7 @@ from patchgraph.matching import (
     ModelConfig,
     PairCorpus,
     TrainConfig,
-    ablation_variant,
+    VariantScorer,
     discriminate,
     evaluate,
     full_bilinear_score,
@@ -374,12 +374,12 @@ def benchmark_aucs(seed):
     auc_context = evaluate(corpus_te, context)["auc"]
 
     vertex_base = init_model(mc, seed)
-    vertex_only = ablation_variant(vertex_base, "f_f", "bilinear", seed=seed)
+    vertex_only = VariantScorer(vertex_base, "f_f", "bilinear", seed=seed)
     train(corpus_tr, vertex_base, tc, scorer=vertex_only)
     auc_vertex = evaluate(corpus_te, vertex_base, scorer=vertex_only)["auc"]
 
     auc_l2 = evaluate(corpus_te, context,
-                      scorer=ablation_variant(context, "phi_psi", "l2"))["auc"]
+                      scorer=VariantScorer(context, "phi_psi", "l2"))["auc"]
     return auc_context, auc_vertex, auc_l2
 
 

@@ -21,7 +21,7 @@ def test_bilinear_hand_value():
     a = ad.parameter([1.0, 2.0])
     m = ad.parameter([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     b = ad.parameter([3.0, 4.0, 5.0])
-    out = ad.dot(a, m @ b)
+    out = ad.matmul(a, m @ b)
     assert out.item() == pytest.approx(11.0, abs=0.0)
 
 
@@ -30,7 +30,7 @@ def test_bilinear_hand_gradients():
     a = ad.parameter([1.0, 2.0])
     m = ad.parameter([[1.0, -1.0, 2.0], [0.5, 1.0, 0.0]])
     b = ad.parameter([3.0, 4.0, 5.0])
-    out = ad.dot(a, m @ b)
+    out = ad.matmul(a, m @ b)
     ga, gm, gb = ad.gradients(out, [a, m, b])
     np.testing.assert_allclose(ga, m.data @ b.data, rtol=0, atol=0)
     np.testing.assert_allclose(gm, np.outer(a.data, b.data), rtol=0, atol=0)
@@ -75,7 +75,7 @@ def test_matmul_shapes_match_finite_differences(seed):
         (lambda: (a2 @ b2).sum(), [a2, b2]),
         (lambda: (a2 @ v4).sum(), [a2, v4]),
         (lambda: (v3 @ a2).sum(), [v3, a2]),
-        (lambda: ad.dot(v4, v4), [v4]),
+        (lambda: ad.matmul(v4, v4), [v4]),
     ]
     for f, params in cases:
         assert _fd_check(f, params) < 1e-4
@@ -93,8 +93,8 @@ def test_structural_ops_match_finite_differences(seed):
     rowsel = ad.constant(rng.standard_normal(3))
 
     cases = [
-        (lambda: ad.dot(ad.concat([u, v]), weights), [u, v]),
-        (lambda: ad.dot(ad.row(ad.stack_rows([u, u * 2.0, u - 1.0]), 1), rowsel), [u]),
+        (lambda: ad.matmul(ad.concat([u, v]), weights), [u, v]),
+        (lambda: ad.matmul(ad.row(ad.stack_rows([u, u * 2.0, u - 1.0]), 1), rowsel), [u]),
         (lambda: (ad.hconcat(m, w)).sum(), [m, w]),
         (lambda: ad.slice1d(v, 1, 3).sum(), [v]),
         (lambda: ad.reshape(m, (12,)).mean(), [m]),
@@ -210,7 +210,7 @@ def test_gradients_are_bit_identical_across_runs():
     def run():
         wt = ad.parameter(w.copy())
         vt = ad.parameter(v.copy())
-        loss = ad.sigmoid(ad.dot(vt, wt @ vt)).sum()
+        loss = ad.sigmoid(ad.matmul(vt, wt @ vt)).sum()
         return ad.gradients(loss, [wt, vt])
 
     g1 = run()

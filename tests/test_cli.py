@@ -170,6 +170,20 @@ class TestPlace:
         assert rep["threshold"] == 0.25
         assert rep["evaluated_pairs"] == 6  # nothing held out
 
+    def test_radius_sets_same_place(self, workspace, tmp_path):
+        columns = []
+        for radius in ("10", "500"):  # synth.scene_spacing is 200 m
+            out = str(tmp_path / radius)
+            assert main(["place", "--data", workspace["data"], "--out", out,
+                         "--checkpoint", workspace["checkpoint"],
+                         "--set", "place.tune=false",
+                         "--set", "place.iters=50",
+                         "--set", "place.radius=" + radius]) == 0
+            _, rows = read_csv(os.path.join(out, "place_pairs.csv"))
+            columns.append([r[4] for r in rows])
+        assert columns[0].count("1") == 2  # the two within-scene pairs
+        assert columns[1] == ["1"] * 6
+
 
 class TestStereo:
     def test_oracle_depths_are_exact(self, tmp_path):
@@ -217,6 +231,42 @@ class TestAblate:
         assert len(rep["rows"]) == 15
 
 
+class TestReproducibility:
+    def test_every_command_is_byte_identical(self, tmp_path, monkeypatch):
+        """Two runs from the same (config, seed) in two directories write
+        the same files with the same bytes.  Paths are relative, so the
+        reports that name files match too."""
+        ckpt = ["--checkpoint", os.path.join("train", "model.json")]
+        commands = [
+            ["synth", "--seed", "3", "--out", "data"] + TINY_SYNTH,
+            ["train", "--seed", "3", "--data", "data", "--out", "train"]
+            + TINY_MODEL + TINY_TRAIN,
+            ["eval", "--data", "data", "--out", "eval"] + ckpt,
+            ["match", "--data", "data", "--out", "match", "--frame-a",
+             "s000/a", "--frame-b", "s001/b"] + ckpt,
+            ["place", "--data", "data", "--out", "place",
+             "--set", "place.iters=50"] + ckpt,
+            ["stereo", "--seed", "5", "--out", "stereo",
+             "--set", "stereo.landmarks=4", "--set", "stereo.gamma=0.5"]
+            + ckpt,
+        ]
+        trees = []
+        for name in ("one", "two"):
+            root = tmp_path / name
+            root.mkdir()
+            monkeypatch.chdir(root)
+            for argv in commands:
+                assert main(argv) == 0, argv[0]
+            trees.append({str(path.relative_to(root)): path.read_bytes()
+                          for path in sorted(root.rglob("*"))
+                          if path.is_file()})
+        for command in ("train", "eval", "match", "place", "stereo"):
+            assert any(name.startswith(command + os.sep) for name in trees[0])
+        assert sorted(trees[0]) == sorted(trees[1])
+        for name in trees[0]:
+            assert trees[0][name] == trees[1][name], name
+
+
 class TestVerifyTheory:
     ARGS = ["--set", "theory.kl_models=8", "--set", "theory.scaling_models=3",
             "--set", "theory.tv_models=8"]
@@ -261,6 +311,22 @@ class TestErrors:
         rep = read_json(os.path.join(out, "theory_report.json"))
         assert rep["kl_bound"]["models"] == 4
         assert rep["perturbation_scaling"]["models"] == 2
+
+    def test_dropped_patch_is_a_warning(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--seed", "3", "--out", str(data)]
+                    + TINY_SYNTH) == 0
+        _, pairs = read_csv(str(data / "pairs.csv"))
+        dropped = pairs[0][0]
+        os.remove(str(data / "images" / (dropped.replace("/", "_") + ".pgm")))
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out",
+                     str(tmp_path / "run")]
+                    + TINY_MODEL + TINY_TRAIN) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:") and dropped in line]
+        assert any("missing image" in line for line in warnings)
+        assert any("pairs row 1:" in line for line in warnings)
 
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "missing"),

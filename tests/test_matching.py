@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pathlib
 
 import numpy as np
@@ -10,7 +11,6 @@ from patchgraph.matching import (
     DISCRIMINATORS,
     PAIRINGS,
     DiscriminatorParams,
-    FlagshipScorer,
     MatchModel,
     ModelConfig,
     PairCorpus,
@@ -18,7 +18,6 @@ from patchgraph.matching import (
     VariantScorer,
     _cosine_score,
     _l2_score,
-    ablation_variant,
     assemble_embeddings,
     discriminate,
     evaluate,
@@ -218,6 +217,24 @@ class TestLoss:
             loss_emp_id([], model)
         with pytest.raises(ValueError):
             loss_from_scores([], [])
+
+    def test_vector_loss_matches_per_pair_reference(self):
+        rng = np.random.default_rng(22)
+        raw = rng.uniform(0.0, 1.0, size=(7, 2))
+        raw[0] = (0.0, 1.0)  # both clamp edges
+        labels = [1, 0, 0, 1, 1, 0, 1]
+        scores = [(ad.parameter(a), ad.parameter(b)) for a, b in raw]
+        loss = loss_from_scores(scores, labels)
+        lo, hi = 1e-7, 1.0 - 1e-7
+        d = np.clip(raw, lo, hi)
+        y = np.asarray(labels, dtype=np.float64)[:, None]
+        terms = y * np.log(d) + (1.0 - y) * np.log(1.0 - d)
+        assert abs(float(loss.data) + terms.sum() / (2 * len(labels))) < 1e-14
+        grads = ad.gradients(loss, [t for pair in scores for t in pair])
+        inside = (raw >= lo) & (raw <= hi)
+        expected = -(y / d - (1.0 - y) / (1.0 - d)) * inside / (2 * len(labels))
+        np.testing.assert_allclose(np.reshape(grads, (7, 2)), expected,
+                                   rtol=1e-12, atol=0.0)
 
     def test_bad_label_rejected(self):
         pairs = [(ad.constant(0.5), ad.constant(0.5))]
@@ -444,9 +461,9 @@ class TestAblation:
     def test_unknown_variant_rejected(self):
         model = init_model(ModelConfig(n=4, k=2), seed=0)
         with pytest.raises(ValueError):
-            ablation_variant(model, "g_g", "bilinear")
+            VariantScorer(model, "g_g", "bilinear")
         with pytest.raises(ValueError):
-            ablation_variant(model, "f_f", "dot")
+            VariantScorer(model, "f_f", "dot")
 
     def test_feature_only_variant_ignores_graph_params(self):
         rng = np.random.default_rng(16)
@@ -456,7 +473,7 @@ class TestAblation:
         patches_b = [make_patch("f1/p%03d" % i, "f1", (2.0 * i, 1, 10),
                                 rng=rng) for i in range(3)]
         fa, fb = make_frame("f0", patches_a), make_frame("f1", patches_b)
-        scorer = ablation_variant(model, "f_f", "bilinear", seed=1)
+        scorer = VariantScorer(model, "f_f", "bilinear", seed=1)
         before = [float(t.data) for t in
                   scorer.score_pair(patches_a[0], fa, patches_b[0], fb)]
         for t in model.gnn.tensors.values():
@@ -475,7 +492,7 @@ class TestAblation:
         patches_b = [make_patch("f1/p%03d" % i, "f1", (2.0 * i, 1, 10),
                                 rng=rng) for i in range(3)]
         fa, fb = make_frame("f0", patches_a), make_frame("f1", patches_b)
-        scorer = ablation_variant(model, pairing, disc, seed=2)
+        scorer = VariantScorer(model, pairing, disc, seed=2)
         d1, d2 = scorer.score_pair(patches_a[0], fa, patches_b[1], fb)
         for d in (d1, d2):
             assert 0.0 <= float(d.data) <= 1.0
@@ -488,8 +505,8 @@ class TestAblation:
         patches = [make_patch("f0/p%03d" % i, "f0", (2.0 * i, 0, 10),
                               rng=rng) for i in range(3)]
         frame = make_frame("f0", patches)
-        a = ablation_variant(model, "phi_psi", "cosine")
-        b = ablation_variant(model, "psi_psi", "cosine")
+        a = VariantScorer(model, "phi_psi", "cosine")
+        b = VariantScorer(model, "psi_psi", "cosine")
         sa = a.score_pair(patches[0], frame, patches[1], frame)
         sb = b.score_pair(patches[0], frame, patches[1], frame)
         assert float(sa[0].data) == float(sb[0].data)
@@ -514,6 +531,27 @@ class TestCheckpoint:
         stored = json.loads(path.read_text())
         disc_keys = {k for k in stored if k.startswith("disc.")}
         assert disc_keys == {"disc.m12", "disc.m21", "disc.m22", "disc.m23"}
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path,
+                                                   monkeypatch):
+        old, new = small_pixel_model(seed=23), small_pixel_model(seed=24)
+        path = tmp_path / "model.json"
+        save_model(path, old)
+
+        def torn_write(target, tensors):
+            with open(target, "w") as fh:
+                fh.write('{"featurizer.')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ad, "save_named_tensors", torn_write)
+        with pytest.raises(OSError):
+            save_model(path, new)
+        back = load_model(path)
+        for name, tensor in old.named_tensors().items():
+            assert (back.named_tensors()[name].data.tobytes()
+                    == tensor.data.tobytes())
+        assert sorted(os.listdir(tmp_path)) == ["model.json",
+                                                "model.json.config.json"]
 
     def test_dimension_consistency_enforced(self):
         model = small_pixel_model(seed=21)

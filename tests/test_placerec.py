@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import patchgraph.autodiff as ad
+import patchgraph.matching as matching
 from patchgraph.matching import ModelConfig, init_model, match_score
 from patchgraph.placerec import (
     PartialAssignment,
@@ -265,3 +266,39 @@ class TestPlaceRecognitionEval:
         model = init_model(ModelConfig(n=4, k=2), seed=5)
         with pytest.raises(ValueError):
             place_recognition_eval([], model)
+
+    def test_each_patch_embedded_once_per_run(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        model = init_model(ModelConfig(n=4, k=2), seed=6)
+        frames = [make_frame("f%d" % i, 2 + i, (6.0 * i, 0.0, 0.0), rng)
+                  for i in range(4)]
+        pairs = [(a, b) for i, a in enumerate(frames) for b in frames[i + 1:]]
+        expected = []
+        for fa, fb in pairs:
+            s = score_matrix(fa, fb, model)
+            value = frame_match_score(s, sinkhorn_assign(s)).score
+            expected.append((fa.frame_id, fb.frame_id, value,
+                             int(value > 0.5), same_place_label(fa, fb)))
+        embedded = []
+        original = matching.assemble_embeddings
+
+        def counted(patch, frame, model):
+            embedded.append((frame.frame_id, patch.patch_id))
+            return original(patch, frame, model)
+
+        monkeypatch.setattr(matching, "assemble_embeddings", counted)
+        report = place_recognition_eval(pairs, model, threshold=0.5)
+        assert len(embedded) == len(set(embedded)) == sum(
+            len(f.patches) for f in frames)
+        assert report.rows == expected
+
+    def test_radius_sets_the_same_place_label(self):
+        rng = np.random.default_rng(13)
+        model = init_model(ModelConfig(n=4, k=2), seed=7)
+        fa = make_frame("f0", 1, (0.0, 0.0, 0.0), rng)
+        fb = make_frame("f1", 1, (15.0, 0.0, 0.0), rng)
+        labels = [place_recognition_eval([(fa, fb)], model, threshold=0.5,
+                                         scorer=PlaceScorer(),
+                                         radius=r).rows[0][4]
+                  for r in (10.0, 20.0)]
+        assert labels == [0, 1]

@@ -254,22 +254,6 @@ def test_ground_truth_pairs_subsampling():
         sc.ground_truth_pairs(fa, fb, max_pairs=10)
 
 
-# -- frame pairing -------------------------------------------------------------
-
-def test_pair_frames_bounds_inclusive():
-    frames = [_frame("f0", [], pos=(0, 0, 0)),
-              _frame("f1", [], pos=(2.0, 0, 0)),     # exactly min gap
-              _frame("f2", [], pos=(27.0, 0, 0)),    # 25 m from f1
-              _frame("f3", [], pos=(0.5, 0, 0)),     # too close to f0
-              _frame("f4", [], pos=(60.0, 0, 0))]    # too far from all
-    pairs = sc.pair_frames(frames, min_gap_m=2.0, max_dist_m=25.0)
-    ids = {(a.frame_id, b.frame_id) for a, b in pairs}
-    assert ("f0", "f1") in ids
-    assert ("f1", "f2") in ids          # exactly 25 m: inclusive
-    assert ("f0", "f3") not in ids      # 0.5 m < 2 m
-    assert all("f4" not in p for p in ids)
-
-
 # -- image files and manifests --------------------------------------------------
 
 def test_pgm_round_trip(tmp_path):
@@ -352,6 +336,26 @@ def test_load_dataset_rejects_bad_records(tmp_path):
     assert any("degenerate bbox" in d and "record 0" in d for d in loaded.diagnostics)
     assert any("missing image" in d for d in loaded.diagnostics)
     assert any("record 1" in d for d in loaded.diagnostics)
+
+
+def test_load_dataset_skips_bad_pair_rows(tmp_path):
+    scene = _small_scene(seed=32)
+    noise = sc.NoiseConfig(sigma_loc=0.1, occlusion_prob=0.0)
+    fa, fb = sc.render_views(scene, _cam((0, 1.5, 0)), _cam((4, 1.5, 0)), noise, 9)
+    entries, _ = sc.ground_truth_pairs(fa, fb)
+    manifest = sc.save_dataset(tmp_path, [fa, fb], sc.PairDataset(entries))
+    dropped = entries[0].patch_a
+    (tmp_path / "images" / (dropped.replace("/", "_") + ".pgm")).unlink()
+    with open(tmp_path / "pairs.csv", "a") as fh:
+        fh.write("%s,%s,yes\n" % (fa.patches[-1].patch_id, fb.patches[-1].patch_id))
+    loaded = sc.load_dataset(manifest)
+    kept = [e for e in entries if dropped not in (e.patch_a, e.patch_b)]
+    assert [(e.patch_a, e.patch_b, e.label) for e in loaded.pairs.entries] == \
+        [(e.patch_a, e.patch_b, e.label) for e in kept]
+    bad_rows = [d for d in loaded.diagnostics if d.startswith("pairs row")]
+    assert len(bad_rows) == len(entries) - len(kept) + 1
+    assert all(dropped in d for d in bad_rows[:-1])
+    assert bad_rows[-1] == "pairs row %d: label 'yes' is not 0 or 1" % (len(entries) + 1)
 
 
 def test_load_dataset_checksum_verified(tmp_path):
