@@ -194,13 +194,20 @@ def gradients(loss, params):
 # -- arithmetic ----------------------------------------------------------
 
 def _unbroadcast(g, shape):
-    """Reduce a gradient back to ``shape`` after scalar/array broadcasting."""
+    """Reduce a gradient back to ``shape`` after numpy broadcasting: sum the
+    leading axes broadcasting added and the axes it stretched from size 1."""
     if g.shape == shape:
         return g
-    if shape == ():
-        return np.asarray(g.sum())
-    # only scalar-vs-array broadcasting is supported by these primitives
-    raise ValueError("unsupported broadcast from %r to %r" % (shape, g.shape))
+    lead = g.ndim - len(shape)
+    if lead < 0:
+        raise ValueError("unsupported broadcast from %r to %r" % (shape, g.shape))
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    stretched = tuple(ax for ax, size in enumerate(shape)
+                      if size == 1 and g.shape[ax] != 1)
+    if stretched:
+        g = g.sum(axis=stretched, keepdims=True)
+    return g.reshape(shape)
 
 
 def add(a, b):
@@ -233,29 +240,37 @@ def div(a, b):
 
 
 def matmul(a, b):
-    """Matrix/vector product for 1-d and 2-d operands."""
+    """Matrix product with numpy semantics: 1-d operands are promoted to
+    matrices, and stacks of matrices broadcast over their leading axes."""
     ad, bd = a.data, b.data
-    out = np.matmul(ad, bd)
+    a2 = ad[None, :] if ad.ndim == 1 else ad
+    b2 = bd[:, None] if bd.ndim == 1 else bd
+
+    def promoted(g):
+        # put back the axes numpy drops from the product of a 1-d operand
+        g = np.asarray(g)
+        if bd.ndim == 1:
+            g = np.expand_dims(g, -1)
+        if ad.ndim == 1:
+            g = np.expand_dims(g, -2)
+        return g
 
     def grad_a(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return np.matmul(g, bd.T)
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd)
-        if ad.ndim == 1 and bd.ndim == 2:
-            return np.matmul(bd, g)
-        return g * bd  # 1d @ 1d
+        ga = np.matmul(promoted(g), np.swapaxes(b2, -1, -2))
+        return _unbroadcast(ga, a2.shape).reshape(ad.shape)
 
     def grad_b(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return np.matmul(ad.T, g)
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.matmul(ad.T, g)
-        if ad.ndim == 1 and bd.ndim == 2:
-            return np.outer(ad, g)
-        return g * ad
+        g = promoted(g)
+        if b2.ndim == 2:
+            # one product over every stacked row instead of a stack of them
+            width = a2.shape[-1]
+            rows = np.broadcast_to(a2, g.shape[:-1] + (width,))
+            return np.matmul(rows.reshape(-1, width).T,
+                             g.reshape(-1, g.shape[-1])).reshape(bd.shape)
+        gb = np.matmul(np.swapaxes(a2, -1, -2), g)
+        return _unbroadcast(gb, b2.shape).reshape(bd.shape)
 
-    return _make(out, (a, b), (grad_a, grad_b))
+    return _make(np.matmul(ad, bd), (a, b), (grad_a, grad_b))
 
 
 def _norm_axes(axis, ndim):
@@ -288,34 +303,44 @@ def tmean(a, axis=None):
 
 
 def tmax(a, axis=0):
-    """Max over one axis of a 2-d tensor; gradient flows to the first
-    argmax per slice (ties broken by position, matching np.argmax)."""
-    if a.data.ndim != 2:
-        raise ValueError("tmax expects a 2-d tensor")
-    idx = np.argmax(a.data, axis=axis)
+    """Max over one axis; gradient flows to the first argmax per slice (ties
+    broken by position, matching np.argmax)."""
+    axis = axis % a.data.ndim
+    idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
     out = np.max(a.data, axis=axis)
 
     def grad(g):
         z = np.zeros_like(a.data)
-        cols = np.arange(idx.size)
-        if axis == 0:
-            z[idx, cols] = g
-        else:
-            z[cols, idx] = g
+        np.put_along_axis(z, idx, np.expand_dims(g, axis), axis)
         return z
 
     return _make(out, (a,), (grad,))
 
 
-def concat(parts):
-    """Concatenate 1-d tensors."""
+def take(a, idx):
+    """Rows of ``a`` gathered by an integer index array: the result has shape
+    idx.shape + a.shape[1:].  Repeated indices accumulate their gradients."""
+    idx = np.asarray(idx, dtype=np.intp)
+
+    def grad(g):
+        z = np.zeros_like(a.data)
+        np.add.at(z, idx, g)
+        return z
+
+    return _make(a.data[idx], (a,), (grad,))
+
+
+def concat(parts, axis=-1):
+    """Concatenate tensors along one axis (the last by default)."""
     parts = [_wrap(p) for p in parts]
-    data = np.concatenate([p.data for p in parts])
+    data = np.concatenate([p.data for p in parts], axis=axis)
     vjps = []
     off = 0
     for p in parts:
-        start, stop = off, off + p.data.shape[0]
-        vjps.append(lambda g, s=start, e=stop: g[s:e])
+        start, stop = off, off + p.data.shape[axis]
+        index = [slice(None)] * data.ndim
+        index[axis] = slice(start, stop)
+        vjps.append(lambda g, ix=tuple(index): g[ix])
         off = stop
     return _make(data, tuple(parts), tuple(vjps))
 
@@ -329,31 +354,30 @@ def stack_rows(rows):
 
 
 def hconcat(a, b):
-    """Concatenate two 2-d tensors along columns."""
-    na = a.data.shape[1]
-    data = np.concatenate([a.data, b.data], axis=1)
-    return _make(data, (a, b),
-                 (lambda g: g[:, :na], lambda g: g[:, na:]))
+    """Concatenate two tensors along their last axis."""
+    return concat([a, b])
 
 
 def row(a, i):
-    """Select row ``i`` of a 2-d tensor as a 1-d tensor."""
+    """Row ``i`` of a matrix, or of every matrix in a stack (axis -2)."""
 
     def grad(g):
         full = np.zeros_like(a.data)
-        full[i] = g
+        full[..., i, :] = g
         return full
 
-    return _make(a.data[i], (a,), (grad,))
+    return _make(a.data[..., i, :], (a,), (grad,))
 
 
 def slice1d(a, start, stop):
+    """Entries ``start:stop`` of the last axis."""
+
     def grad(g):
         full = np.zeros_like(a.data)
-        full[start:stop] = g
+        full[..., start:stop] = g
         return full
 
-    return _make(a.data[start:stop], (a,), (grad,))
+    return _make(a.data[..., start:stop], (a,), (grad,))
 
 
 def reshape(a, shape):
@@ -414,31 +438,34 @@ def clamp(a, lo, hi):
 
 
 def masked_row_softmax(logits, mask):
-    """Row-wise softmax restricted to positions where ``mask`` is nonzero.
+    """Softmax over the last axis restricted to positions where ``mask`` is
+    nonzero.
 
-    ``mask`` is a constant 0/1 ndarray; every row must have at least one
-    nonzero entry.  Masked positions get probability exactly 0.
+    ``mask`` is a constant 0/1 ndarray that broadcasts against ``logits``;
+    every row must have at least one nonzero entry.  Masked positions get
+    probability exactly 0.
     """
     m = np.asarray(mask, dtype=bool)
-    if not m.any(axis=1).all():
+    if not m.any(axis=-1).all():
         raise ValueError("masked_row_softmax: some row has an empty mask")
     z = np.where(m, logits.data, -np.inf)
-    zmax = z.max(axis=1, keepdims=True)
+    zmax = z.max(axis=-1, keepdims=True)
     e = np.exp(z - zmax)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def grad(g):
-        inner = (g * y).sum(axis=1, keepdims=True)
+        inner = (g * y).sum(axis=-1, keepdims=True)
         return y * (g - inner)
 
     return _make(y, (logits,), (grad,))
 
 
 def add_outer(s, t):
-    """out[i, j] = s[i] + t[j] for 1-d inputs."""
-    data = s.data[:, None] + t.data[None, :]
+    """out[..., i, j] = s[..., i] + t[..., j] over the last axes."""
+    data = s.data[..., :, None] + t.data[..., None, :]
     return _make(data, (s, t),
-                 (lambda g: g.sum(axis=1), lambda g: g.sum(axis=0)))
+                 (lambda g: _unbroadcast(g.sum(axis=-1), s.data.shape),
+                  lambda g: _unbroadcast(g.sum(axis=-2), t.data.shape)))
 
 
 # -- convolution ---------------------------------------------------------

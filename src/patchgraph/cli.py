@@ -30,7 +30,11 @@ from .matching import (
     save_model,
     train,
 )
-from .placerec import place_recognition_eval, score_matrix
+from .placerec import (
+    SINKHORN_RESIDUAL_TOL,
+    place_recognition_eval,
+    score_matrix,
+)
 from .scene import (
     Landmark3D,
     NoiseConfig,
@@ -116,10 +120,10 @@ class OracleScorer:
     """Debug scorer that reads the ground truth: same landmark id scores
     0.99, anything else 0.01."""
 
-    def score_pair(self, px, fx, py, fy, cache=None):
-        same = (px.landmark_id is not None
-                and px.landmark_id == py.landmark_id)
-        s = ad.constant(0.99 if same else 0.01)
+    def score_rows(self, rows, cache=None):
+        same = [px.landmark_id is not None and px.landmark_id == py.landmark_id
+                for px, _, py, _, *_ in rows]
+        s = ad.constant(np.where(same, 0.99, 0.01))
         return s, s
 
     def trainable(self):
@@ -322,7 +326,12 @@ def cmd_place(cfg, seed, out_dir, args):
         "threshold": report.threshold,
         "evaluated_pairs": len(report.rows),
         "total_pairs": len(pairs),
+        "sinkhorn_max_residual": report.sinkhorn_max_residual,
     }, cfg, seed)
+    if report.sinkhorn_max_residual > SINKHORN_RESIDUAL_TOL:
+        print("warning: Sinkhorn marginals off by up to %.3g (tolerance %g); "
+              "raise place.iters" % (report.sinkhorn_max_residual,
+                                     SINKHORN_RESIDUAL_TOL), file=sys.stderr)
     print("place recognition f1=%.4f accuracy=%.4f (threshold %.4f)"
           % (report.f1, report.accuracy, report.threshold))
     return 0

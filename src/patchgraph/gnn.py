@@ -3,8 +3,10 @@
 Three interchangeable layer families — spectral convolution (gcn),
 multi-head attention (gat), and sampled-neighborhood aggregation (sage) —
 each mapping per-vertex features (V, n) to per-vertex embeddings (V, n).
-``embed_graph`` runs the configured stack and pools the rows into a single
-graph embedding, so every graph yields:
+Every layer also takes a stack (B, V, n) of B graphs that share one (V, V)
+adjacency, and runs them as one batched product; a single graph is the
+stack without its leading axis.  ``embed_graph`` runs the configured stack
+and pools the rows into a single graph embedding, so every graph yields:
 
   * vertex embeddings, one row per vertex (center is row 0), and
   * one pooled graph embedding summarizing the whole neighborhood.
@@ -49,11 +51,11 @@ class GnnParams:
 
 @dataclass
 class GraphEmbeddings:
-    vertex: object   # Tensor, (V, n); row 0 is the center vertex
-    graph: object    # Tensor, (n,)
+    vertex: object   # Tensor, (..., V, n); row 0 is the center vertex
+    graph: object    # Tensor, (..., n)
 
     def __post_init__(self):
-        if self.vertex.data.shape[0] < 1:
+        if self.vertex.data.shape[-2] < 1:
             raise ValueError("embeddings need at least one vertex")
         if not (np.all(np.isfinite(self.vertex.data))
                 and np.all(np.isfinite(self.graph.data))):
@@ -108,7 +110,7 @@ def _check_adjacency(adj, vertices):
 def gcn_layer(x, adj, w, activation=ad.relu):
     """act(Ahat @ X @ W) with Ahat the symmetrically normalized adjacency
     including self-loops; self-loops keep isolated vertices well-defined."""
-    adj = _check_adjacency(adj, x.data.shape[0])
+    adj = _check_adjacency(adj, x.data.shape[-2])
     a_tilde = adj + np.eye(adj.shape[0])
     d_inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
     a_hat = a_tilde * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
@@ -121,7 +123,7 @@ def gat_attention(x, adj, w, a_left, a_right):
     Scores e_ij = LeakyReLU(a_left . Wx_i + a_right . Wx_j), normalized by
     softmax over the closed neighborhood N(i) + {i}.
     """
-    adj = _check_adjacency(adj, x.data.shape[0])
+    adj = _check_adjacency(adj, x.data.shape[-2])
     wx = x @ w
     s = wx @ a_left
     t = wx @ a_right
@@ -131,7 +133,7 @@ def gat_attention(x, adj, w, a_left, a_right):
 
 
 def gat_head(x, adj, w, a_left, a_right):
-    """One attention head: pre-activation weighted sums (V, n/heads)."""
+    """One attention head: pre-activation weighted sums (..., V, n/heads)."""
     alpha, wx = gat_attention(x, adj, w, a_left, a_right)
     return alpha @ wx
 
@@ -148,7 +150,7 @@ def gat_layer(x, adj, head_params, activation=ad.elu):
 def sage_layer(x, adj, w, activation=ad.relu):
     """act([x_i | mean of neighbor features] @ W); an isolated vertex
     aggregates a zero vector."""
-    adj = _check_adjacency(adj, x.data.shape[0])
+    adj = _check_adjacency(adj, x.data.shape[-2])
     deg = adj.sum(axis=1)
     scale = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
     mean_op = adj * scale[:, None]
@@ -170,19 +172,22 @@ def _run_layer(x, adj, params, layer):
 
 
 def embed_graph(graph, node_features, params, pool="mean"):
-    """Run the 2-layer stack over one neighborhood graph.
+    """Run the 2-layer stack over one neighborhood graph, or over a stack of
+    graphs that share its adjacency.
 
-    ``node_features`` is a (V, n) tensor aligned with graph.vertices.
-    Returns vertex embeddings (last layer's rows) plus the pooled graph
-    embedding; ``pool`` is "mean" (default) or "max".
+    ``node_features`` is a (V, n) tensor aligned with graph.vertices, or a
+    (B, V, n) stack of B such graphs.  Returns vertex embeddings (last
+    layer's rows) plus the pooled graph embedding; ``pool`` is "mean"
+    (default) or "max".
     """
-    if node_features.data.shape[0] != len(graph.vertices):
-        raise ValueError("feature rows %d != vertex count %d"
-                         % (node_features.data.shape[0], len(graph.vertices)))
+    shape = node_features.data.shape
+    if len(shape) not in (2, 3) or shape[-2] != len(graph.vertices):
+        raise ValueError("feature rows %r do not match vertex count %d"
+                         % (shape[:-1], len(graph.vertices)))
     if pool not in ("mean", "max"):
         raise ValueError("unknown pooling %r" % pool)
     x = node_features
     for layer in range(1, NUM_LAYERS + 1):
         x = _run_layer(x, graph.adjacency, params, layer)
-    g = ad.tmean(x, axis=0) if pool == "mean" else ad.tmax(x, axis=0)
+    g = ad.tmean(x, axis=-2) if pool == "mean" else ad.tmax(x, axis=-2)
     return GraphEmbeddings(vertex=x, graph=g)

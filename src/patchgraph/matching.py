@@ -209,21 +209,33 @@ def assemble_embeddings(patch, frame, model):
                              psi=ad.concat([g, rho, f]))
 
 
+def _bilinear(a, m, b):
+    """a^T M b for matching rows of two stacks of vectors (..., w).  Each
+    row of ``a`` meets M in a product of its own, and the last-axis sum is
+    taken row by row, so a row's bits do not depend on the rest of the
+    stack."""
+    lead, width = a.data.shape[:-1], a.data.shape[-1]
+    am = ad.reshape(ad.reshape(a, lead + (1, width)) @ m,
+                    lead + (m.data.shape[-1],))
+    return ad.tsum(am * b, axis=-1)
+
+
 def discriminate(phi, psi, disc):
-    """Directed score sigmoid(phi^T M psi) via the four nonzero blocks."""
+    """Directed score sigmoid(phi^T M psi) via the four nonzero blocks:
+    rho_x M12 rho_y + f_x [M21 M22 M23] psi_y.
+
+    ``phi`` (..., 2n) and ``psi`` (..., 3n) are single vectors or stacks of
+    them whose leading axes broadcast; one score per stacked pair.
+    """
     n = disc.n
-    if phi.data.shape != (2 * n,) or psi.data.shape != (3 * n,):
+    if phi.data.shape[-1:] != (2 * n,) or psi.data.shape[-1:] != (3 * n,):
         raise ValueError("expected phi of length %d and psi of length %d, "
                          "got %r and %r" % (2 * n, 3 * n, phi.data.shape,
                                             psi.data.shape))
     rho_x, f_x = ad.slice1d(phi, 0, n), ad.slice1d(phi, n, 2 * n)
-    g_y = ad.slice1d(psi, 0, n)
     rho_y = ad.slice1d(psi, n, 2 * n)
-    f_y = ad.slice1d(psi, 2 * n, 3 * n)
-    logit = (rho_x @ (disc.m12 @ rho_y)
-             + f_x @ (disc.m21 @ g_y)
-             + f_x @ (disc.m22 @ rho_y)
-             + f_x @ (disc.m23 @ f_y))
+    logit = (_bilinear(rho_x, disc.m12, rho_y)
+             + _bilinear(f_x, ad.concat([disc.m21, disc.m22, disc.m23]), psi))
     return ad.sigmoid(logit)
 
 
@@ -233,6 +245,127 @@ def full_bilinear_score(phi, psi, disc):
     logit = float(phi.data @ disc.full_matrix() @ psi.data)
     return 1.0 / (1.0 + math.exp(-logit)) if logit >= 0 else \
         math.exp(logit) / (1.0 + math.exp(logit))
+
+
+# -- frame index --------------------------------------------------------------
+
+class FrameIndex:
+    """What one ``train``, ``evaluate`` or ``place_recognition_eval`` call
+    computes once per (frame id, patch id) and reuses in every batch.
+
+    * the clique of each patch, as the slots of its vertices (center first),
+      built through ``graph_for_patch``;
+    * the descriptor row of every vertex whose descriptor cannot train (a
+      precomputed ``feature``, or a featurizer without trainable tensors),
+      computed through ``featurize``;
+    * while no tape is recorded, the embedding rows of each patch, since the
+      parameters cannot change between batches of one inference call.
+
+    The keys are frame and patch ids, which repeat across datasets (``synth``
+    names frames ``s000/a`` at every seed), so an index serves one call on
+    one dataset and one model.
+    """
+
+    def __init__(self):
+        self.slots = {}        # (frame id, patch id) -> slot
+        self.patches = []      # slot -> (patch, frame)
+        self.cliques = {}      # slot -> (adjacency key, vertex slots)
+        self.graphs = {}       # adjacency key -> first graph with it
+        self.descriptors = {}  # slot -> fixed descriptor row
+        self.embedded = {}     # slot -> {field: row} computed without a tape
+
+    def slot(self, patch, frame):
+        key = (frame.frame_id, patch.patch_id)
+        slot = self.slots.get(key)
+        if slot is None:
+            slot = self.slots[key] = len(self.patches)
+            self.patches.append((patch, frame))
+        return slot
+
+    def clique(self, slot, k):
+        entry = self.cliques.get(slot)
+        if entry is None:
+            patch, frame = self.patches[slot]
+            graph = graph_for_patch(patch, frame, k=k)
+            key = (graph.size, graph.adjacency.tobytes())
+            self.graphs.setdefault(key, graph)
+            entry = self.cliques[slot] = (
+                key, [self.slot(v, frame) for v in graph.vertices])
+        return entry
+
+    def descriptor_table(self, slots, featurizer):
+        """(len(slots), n) descriptors; fixed rows come from the index, and
+        trainable ones are recomputed on every call."""
+        fixed = not featurizer.trainable()
+        rows = []
+        for slot in slots:
+            patch = self.patches[slot][0]
+            if not (fixed or patch.feature is not None):
+                rows.append(featurize(patch, featurizer))
+                continue
+            if slot not in self.descriptors:
+                self.descriptors[slot] = featurize(patch, featurizer).data
+            rows.append(self.descriptors[slot])
+        if all(isinstance(r, np.ndarray) for r in rows):
+            return ad.constant(np.stack(rows))
+        return ad.stack_rows(rows)
+
+    def embed(self, slots, model, context):
+        """Descriptor ``f`` of each slot and, with ``context``, its vertex
+        embedding ``rho`` and graph embedding ``g``: (len(slots), n) tensors.
+        The cliques are grouped by adjacency, and each group runs through
+        ``embed_graph`` as one stack."""
+        if not context:
+            return {"f": self.descriptor_table(slots, model.featurizer)}
+        groups = {}
+        for slot in slots:
+            key, vertices = self.clique(slot, model.config.k)
+            groups.setdefault(key, []).append((slot, vertices))
+        members = [m for group in groups.values() for m in group]
+        vertex_rows = {}
+        for _, vertices in members:
+            for v in vertices:
+                vertex_rows.setdefault(v, len(vertex_rows))
+        table = self.descriptor_table(list(vertex_rows), model.featurizer)
+        rho, g = [], []
+        for key, group in groups.items():
+            x = ad.take(table, [[vertex_rows[v] for v in vertices]
+                                for _, vertices in group])
+            emb = embed_graph(self.graphs[key], x, model.gnn,
+                              pool=model.config.pool)
+            rho.append(emb.center())
+            g.append(emb.graph)
+        # back from group order to the order of ``slots``
+        at = {slot: i for i, (slot, _) in enumerate(members)}
+        back = [at[slot] for slot in slots]
+        return {"f": ad.take(table, [vertex_rows[s] for s in slots]),
+                "rho": ad.take(ad.concat(rho, axis=0), back),
+                "g": ad.take(ad.concat(g, axis=0), back)}
+
+    def tables(self, slots, model, fields):
+        """{field: tensor with one row per slot} for the ensemble ``fields``.
+        Only ``f`` skips the graphs.  Without a tape, rows already in the
+        index are reused and new ones are added to it."""
+        context = set(fields) != {"f"}
+        if ad._grad_enabled:
+            tables = self.embed(slots, model, context)
+        else:
+            base = ("f", "rho", "g") if context else ("f",)
+            todo = [s for s in slots
+                    if not all(f in self.embedded.get(s, ()) for f in base)]
+            if todo:
+                for field, t in self.embed(todo, model, context).items():
+                    for slot, row in zip(todo, t.data):
+                        self.embedded.setdefault(slot, {})[field] = row
+            tables = {f: ad.constant(np.stack([self.embedded[s][f]
+                                               for s in slots]))
+                      for f in base}
+        if "phi" in fields:
+            tables["phi"] = ad.concat([tables["rho"], tables["f"]])
+        if "psi" in fields:
+            tables["psi"] = ad.concat([tables["g"], tables["rho"],
+                                       tables["f"]])
+        return tables
 
 
 # -- scoring ------------------------------------------------------------------
@@ -245,24 +378,21 @@ class MatchResult:
     score_yx: float   # d(phi_y, psi_{G_x})
 
 
-def _pairing_vectors(ex, ey, pairing):
-    field_x, field_y = pairing.split("_")
-    return getattr(ex, field_x), getattr(ey, field_y)
-
-
 def _cosine_score(a, b):
-    na = math.sqrt(float(a.data @ a.data))
-    nb = math.sqrt(float(b.data @ b.data))
-    if na == 0.0 or nb == 0.0:
-        return ad.constant(0.5)
-    return (a @ b) * (1.0 / (na * nb)) * 0.5 + 0.5
+    """Cosine similarity mapped to [0, 1] for matching rows of two stacks;
+    the norms are constants, and a zero vector scores exactly 0.5."""
+    norms = (np.sqrt(np.sum(a.data * a.data, axis=-1))
+             * np.sqrt(np.sum(b.data * b.data, axis=-1)))
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms),
+                      where=norms != 0.0)
+    return ad.tsum(a * b, axis=-1) * scale * 0.5 + 0.5
 
 
 def _l2_score(a, b):
     # exp(-||a-b||); exact 1.0 for identical vectors.  Metric variants are
     # never trained, so the sqrt kink at 0 never sees a backward pass.
     diff = a - b
-    return ad.exp(-ad.sqrt(diff @ diff))
+    return ad.exp(-ad.sqrt(ad.tsum(diff * diff, axis=-1)))
 
 
 class VariantScorer:
@@ -292,30 +422,37 @@ class VariantScorer:
             rng = rng_for(seed, "ablation/" + pairing)
             self.matrix = ad.parameter(
                 rng.uniform(-1.0 / width, 1.0 / width, size=(width, width)))
+        if discriminator != "bilinear" and pairing == "phi_psi":
+            pairing = "psi_psi"
+        self.fields = tuple(pairing.split("_"))
 
-    def embed(self, patch, frame, cache):
-        key = (frame.frame_id, patch.patch_id)
-        if key not in cache:
-            cache[key] = assemble_embeddings(patch, frame, self.model)
-        return cache[key]
-
-    def _directed(self, ex, ey):
+    def _directed(self, a, b):
         if self.discriminator == "bilinear":
             if self.pairing == "phi_psi":
-                return discriminate(ex.phi, ey.psi, self.model.disc)
-            a, b = _pairing_vectors(ex, ey, self.pairing)
-            return ad.sigmoid(a @ (self.matrix @ b))
-        pairing = "psi_psi" if self.pairing == "phi_psi" else self.pairing
-        a, b = _pairing_vectors(ex, ey, pairing)
+                return discriminate(a, b, self.model.disc)
+            return ad.sigmoid(_bilinear(a, self.matrix, b))
         if self.discriminator == "cosine":
             return _cosine_score(a, b)
         return _l2_score(a, b)
 
-    def score_pair(self, patch_x, frame_x, patch_y, frame_y, cache=None):
-        cache = {} if cache is None else cache
-        ex = self.embed(patch_x, frame_x, cache)
-        ey = self.embed(patch_y, frame_y, cache)
-        return self._directed(ex, ey), self._directed(ey, ex)
+    def score_rows(self, rows, cache=None):
+        """Directed scores (d_xy, d_yx), each an (N,) tensor, for N rows that
+        start with (patch_x, frame_x, patch_y, frame_y).  ``cache`` is the
+        call's ``FrameIndex``; each distinct patch is embedded once."""
+        index = FrameIndex() if cache is None else cache
+        ends = [index.slot(patch, frame) for px, fx, py, fy, *_ in rows
+                for patch, frame in ((px, fx), (py, fy))]
+        slots = list(dict.fromkeys(ends))
+        tables = index.tables(slots, self.model, self.fields)
+        at = {slot: i for i, slot in enumerate(slots)}
+        ix = [at[slot] for slot in ends[0::2]]
+        iy = [at[slot] for slot in ends[1::2]]
+        field_x, field_y = self.fields
+        # both directions in one pass: rows (x, y) then rows (y, x)
+        d = self._directed(ad.take(tables[field_x], ix + iy),
+                           ad.take(tables[field_y], iy + ix))
+        n = len(rows)
+        return ad.slice1d(d, 0, n), ad.slice1d(d, n, 2 * n)
 
     def trainable(self):
         if self.discriminator != "bilinear":
@@ -326,16 +463,21 @@ class VariantScorer:
                 + self.model.gnn.trainable() + [self.matrix])
 
 
+# Rows per batched pass at inference, which bounds its temporaries.
+INFERENCE_CHUNK = 64
+
+
 def symmetric_scores(rows, scorer, cache=None):
     """Inference scores (d_xy + d_yx) / 2 for rows that start with
     (patch_x, frame_x, patch_y, frame_y); each patch is embedded once per
-    ``cache``."""
-    cache = {} if cache is None else cache
+    ``cache`` (a ``FrameIndex``)."""
+    cache = FrameIndex() if cache is None else cache
     scores = []
     with ad.no_grad():
-        for px, fx, py, fy, *_ in rows:
-            d1, d2 = scorer.score_pair(px, fx, py, fy, cache)
-            scores.append(0.5 * (float(d1.data) + float(d2.data)))
+        for start in range(0, len(rows), INFERENCE_CHUNK):
+            d_xy, d_yx = scorer.score_rows(rows[start:start + INFERENCE_CHUNK],
+                                           cache)
+            scores.extend((0.5 * (d_xy.data + d_yx.data)).tolist())
     return scores
 
 
@@ -343,29 +485,31 @@ def match_score(patch_x, frame_x, patch_y, frame_y, model, gamma=None):
     """Symmetric score S = (d(phi_x,psi_y) + d(phi_y,psi_x)) / 2 and the
     strict-threshold decision."""
     gamma = model.config.gamma if gamma is None else gamma
-    d_xy, d_yx = VariantScorer(model).score_pair(patch_x, frame_x,
-                                                 patch_y, frame_y)
-    s = 0.5 * (float(d_xy.data) + float(d_yx.data))
+    with ad.no_grad():
+        d_xy, d_yx = VariantScorer(model).score_rows(
+            [(patch_x, frame_x, patch_y, frame_y)])
+    s_xy, s_yx = float(d_xy.data[0]), float(d_yx.data[0])
+    s = 0.5 * (s_xy + s_yx)
     return MatchResult(score=s, decision=int(s > gamma),
-                       score_xy=float(d_xy.data), score_yx=float(d_yx.data))
+                       score_xy=s_xy, score_yx=s_yx)
 
 
 # -- loss ---------------------------------------------------------------------
 
-def loss_from_scores(score_pairs, labels):
+def loss_from_scores(d_xy, d_yx, labels):
     """-(1/2N) sum over all 2N directed scores d of y log d + (1-y) log(1-d);
-    scores clamped to [1e-7, 1-1e-7] before the log."""
-    if len(score_pairs) == 0:
+    ``d_xy`` and ``d_yx`` are (N,) tensors, clamped to [1e-7, 1-1e-7]
+    before the log."""
+    if len(labels) == 0:
         raise ValueError("empty batch")
-    if len(score_pairs) != len(labels):
+    if d_xy.data.shape != (len(labels),) or d_yx.data.shape != (len(labels),):
         raise ValueError("score/label count mismatch")
     bad = [label for label in labels if label not in (0, 1)]
     if bad:
         raise ValueError("labels must be 0 or 1, got %r" % (bad[0],))
     lo, hi = SCORE_CLAMP
-    d = ad.clamp(ad.concat([ad.reshape(s, (1,)) for pair in score_pairs
-                            for s in pair]), lo, hi)
-    y = np.repeat(np.asarray(labels, dtype=np.float64), 2)
+    d = ad.clamp(ad.concat([d_xy, d_yx]), lo, hi)
+    y = np.tile(np.asarray(labels, dtype=np.float64), 2)
     # d where y = 1 and 1 - d where y = 0, both exact in floating point
     picked = d * (2.0 * y - 1.0) + (1.0 - y)
     return ad.tsum(ad.log(picked)) * (-0.5 / len(labels))
@@ -374,15 +518,14 @@ def loss_from_scores(score_pairs, labels):
 def loss_emp_id(batch, model, scorer=None, cache=None):
     """Information-distance loss over labeled patch pairs.
 
-    ``batch`` rows are (patch_x, frame_x, patch_y, frame_y, label).
+    ``batch`` rows are (patch_x, frame_x, patch_y, frame_y, label);
+    ``cache`` is the calling ``train``'s ``FrameIndex``.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
     scorer = VariantScorer(model) if scorer is None else scorer
-    cache = {} if cache is None else cache
-    score_pairs = [scorer.score_pair(px, fx, py, fy, cache)
-                   for (px, fx, py, fy, _) in batch]
-    return loss_from_scores(score_pairs, [row[4] for row in batch])
+    d_xy, d_yx = scorer.score_rows(batch, cache)
+    return loss_from_scores(d_xy, d_yx, [row[4] for row in batch])
 
 
 # -- datasets of labeled pairs ------------------------------------------------
@@ -458,13 +601,15 @@ def train(corpus, model, train_config, scorer=None):
     state = ad.AdamState(lr=train_config.lr)
     rng = rng_for(train_config.seed, "train")
     history = []
+    # cliques and fixed descriptors are built once; embeddings are
+    # recomputed every step, since the parameters change every step
+    index = FrameIndex()
     for _ in range(train_config.epochs):
         order = _balanced_order(rows, rng, train_config.balance)
         epoch_losses = []
         for start in range(0, len(order), train_config.batch_size):
             batch = order[start:start + train_config.batch_size]
-            # a fresh cache per batch: the parameters change every step
-            loss = loss_emp_id(batch, model, scorer=scorer)
+            loss = loss_emp_id(batch, model, scorer=scorer, cache=index)
             grads = ad.gradients(loss, params)
             ad.adam_step(params, grads, state)
             epoch_losses.append(float(loss.data))

@@ -13,13 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matching import VariantScorer, symmetric_scores
+from .matching import FrameIndex, VariantScorer, symmetric_scores
 from .seeds import rng_for
 
 SAME_PLACE_RADIUS_M = 10.0
 DUSTBIN_DEFAULT = 0.2
 SINKHORN_TAU = 0.1
 SINKHORN_ITERS = 100
+# Largest row or column marginal error of a converged plan (acceptance
+# criterion 8); ``place`` warns when a run's plans miss it.
+SINKHORN_RESIDUAL_TOL = 1e-6
 
 
 @dataclass
@@ -53,8 +56,9 @@ class PartialAssignment:
 def score_matrix(frame_a, frame_b, model, scorer=None, dustbin=DUSTBIN_DEFAULT,
                  cache=None):
     """S[i][j] = symmetric match score between patch i of frame A and
-    patch j of frame B; embeddings are computed once per patch, and once
-    across calls that share ``cache``."""
+    patch j of frame B, scored as one batch; embeddings are computed once
+    per patch, and once across calls that share ``cache`` (a
+    ``matching.FrameIndex``)."""
     if not frame_a.patches or not frame_b.patches:
         raise ValueError("both frames need at least one patch")
     scorer = VariantScorer(model) if scorer is None else scorer
@@ -152,6 +156,7 @@ class PlaceRecognitionReport:
     accuracy: float
     threshold: float
     rows: list = field(default_factory=list)  # (fa, fb, score, decision, label)
+    sinkhorn_max_residual: float = 0.0  # largest plan marginal error
 
 
 def place_recognition_eval(frame_pairs, model, threshold=None,
@@ -160,17 +165,21 @@ def place_recognition_eval(frame_pairs, model, threshold=None,
                            iterations=SINKHORN_ITERS,
                            radius=SAME_PLACE_RADIUS_M):
     """Score frame pairs, tune the threshold on a validation split when
-    none is given, and report F1/accuracy on the remaining pairs.  One
-    embedding cache, keyed by (frame id, patch id), serves the whole run."""
+    none is given, and report F1/accuracy on the remaining pairs, with the
+    largest Sinkhorn marginal residual over every frame pair.  One
+    ``FrameIndex`` serves the whole run, so each patch's clique and
+    embedding are computed once."""
     if not frame_pairs:
         raise ValueError("no frame pairs to evaluate")
-    cache = {}
+    cache = FrameIndex()
     scored = []
+    residual = 0.0
     for fa, fb in frame_pairs:
         label = same_place_label(fa, fb, radius)
         s = score_matrix(fa, fb, model, scorer=scorer, dustbin=dustbin,
                          cache=cache)
         plan = sinkhorn_assign(s, iterations=iterations, tau=tau)
+        residual = max(residual, plan.row_residual, plan.col_residual)
         value = frame_match_score(s, plan).score
         scored.append((fa.frame_id, fb.frame_id, value, label))
     if threshold is None:
@@ -195,4 +204,5 @@ def place_recognition_eval(frame_pairs, model, threshold=None,
     f1 = 2 * tp / denom if denom else 0.0
     accuracy = (tp + tn) / len(rows) if rows else 0.0
     return PlaceRecognitionReport(f1=f1, accuracy=accuracy,
-                                  threshold=threshold, rows=rows)
+                                  threshold=threshold, rows=rows,
+                                  sinkhorn_max_residual=residual)

@@ -108,10 +108,11 @@ def two_pair_batch(rng, seed, featurizer):
 class OracleScorer:
     """Scores by ground-truth landmark identity; geometry tests only."""
 
-    def score_pair(self, patch_x, frame_x, patch_y, frame_y, cache=None):
-        same = (patch_x.landmark_id is not None
-                and patch_x.landmark_id == patch_y.landmark_id)
-        s = ad.constant(0.99 if same else 0.01)
+    def score_rows(self, rows, cache=None):
+        s = ad.constant([
+            0.99 if patch_x.landmark_id is not None
+            and patch_x.landmark_id == patch_y.landmark_id else 0.01
+            for patch_x, _, patch_y, _, *_ in rows])
         return s, s
 
     def trainable(self):

@@ -306,3 +306,102 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     path.write_text('{"w": {"shape": [2, 2], "data": [1.0, 2.0, 3.0]}}')
     with pytest.raises(ValueError):
         ad.load_named_tensors(path)
+
+
+# -- stacked operands ---------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_matmul_matches_finite_differences(seed):
+    rng = np.random.default_rng(500 + seed)
+    x3 = ad.parameter(rng.standard_normal((2, 3, 4)))
+    w2 = ad.parameter(rng.standard_normal((4, 5)))
+    a2 = ad.parameter(rng.standard_normal((3, 3)))
+    v4 = ad.parameter(rng.standard_normal(4))
+    y3 = ad.parameter(rng.standard_normal((2, 4, 3)))
+    coef = ad.constant(rng.standard_normal((2, 3, 5)))
+
+    cases = [
+        (lambda: (x3 @ w2 * coef).sum(), [x3, w2]),        # 3-d @ 2-d
+        (lambda: (a2 @ x3 @ w2 * coef).sum(), [a2, x3]),   # 2-d @ 3-d
+        (lambda: ad.sigmoid(x3 @ v4).sum(), [x3, v4]),     # 3-d @ 1-d
+        (lambda: ad.sigmoid(x3 @ y3).sum(), [x3, y3]),     # 3-d @ 3-d
+    ]
+    for f, params in cases:
+        assert _fd_check(f, params) < 1e-4
+
+
+def test_stacked_matmul_is_a_stack_of_products():
+    rng = np.random.default_rng(510)
+    x = rng.standard_normal((6, 3, 4))
+    w = rng.standard_normal((4, 4))
+    out = ad.matmul(ad.constant(x), ad.constant(w)).data
+    for b in range(6):
+        assert np.array_equal(out[b], x[b] @ w)
+
+
+def test_take_with_repeated_indices():
+    rng = np.random.default_rng(520)
+    table = ad.parameter(rng.standard_normal((4, 3)))
+    idx = np.array([[0, 2, 2], [3, 0, 0]])
+    coef = ad.constant(rng.standard_normal((2, 3, 3)))
+    out = ad.take(table, idx)
+    assert np.array_equal(out.data, table.data[idx])
+    assert _fd_check(lambda: (ad.take(table, idx) * coef).sum(), [table]) < 1e-4
+    (g,) = ad.gradients(ad.take(table, idx).sum(), [table])
+    np.testing.assert_array_equal(g[:, 0], [3.0, 0.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_last_axis_structure_on_stacks(seed):
+    rng = np.random.default_rng(530 + seed)
+    a = ad.parameter(rng.standard_normal((2, 3, 2)))
+    b = ad.parameter(rng.standard_normal((2, 3, 4)))
+    s = ad.parameter(rng.standard_normal((2, 3)))
+    t = ad.parameter(rng.standard_normal((2, 3)))
+    logits = ad.parameter(rng.standard_normal((2, 3, 3)))
+    mask = np.ones((3, 3)) - np.eye(3)
+    mask[0, 0] = 1.0
+    coef = {w: ad.constant(rng.standard_normal((2, 3, w))) for w in (3, 6, 8)}
+    coef_rows = ad.constant(rng.standard_normal((4, 3, 2)))
+
+    cases = [
+        (lambda: (ad.concat([a, b, a]) * coef[8]).sum(), [a, b]),
+        (lambda: (ad.concat([a, a], axis=0) * coef_rows).sum(), [a]),
+        (lambda: (ad.hconcat(a, b) * coef[6]).sum(), [a, b]),
+        (lambda: (ad.add_outer(s, t) * coef[3]).sum(), [s, t]),
+        (lambda: (ad.masked_row_softmax(logits, mask) * coef[3]).sum(),
+         [logits]),
+        (lambda: (ad.tmax(b, axis=-2) * ad.constant(np.arange(8.0)
+                                                    .reshape(2, 4))).sum(),
+         [b]),
+        (lambda: (ad.row(b, 1) * ad.slice1d(b, 1, 3).sum()).sum(), [b]),
+    ]
+    for f, params in cases:
+        assert _fd_check(f, params) < 1e-4
+
+
+def test_batched_add_outer_and_softmax_match_per_slice():
+    rng = np.random.default_rng(540)
+    s, t = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    mask = (rng.uniform(size=(4, 4)) < 0.5).astype(float)
+    np.fill_diagonal(mask, 1.0)
+    outer = ad.add_outer(ad.constant(s), ad.constant(t)).data
+    soft = ad.masked_row_softmax(ad.constant(outer), mask).data
+    for b in range(3):
+        one = ad.add_outer(ad.constant(s[b]), ad.constant(t[b]))
+        assert np.array_equal(outer[b], one.data)
+        assert np.array_equal(soft[b],
+                              ad.masked_row_softmax(one, mask).data)
+
+
+def test_unbroadcast_sums_a_stack_back_to_a_matrix():
+    rng = np.random.default_rng(550)
+    g = rng.standard_normal((5, 3, 3))
+    np.testing.assert_allclose(ad._unbroadcast(g, (3, 3)), g.sum(axis=0),
+                               rtol=0, atol=0)
+    np.testing.assert_allclose(ad._unbroadcast(g, (1, 3)),
+                               g.sum(axis=(0, 1))[None, :], atol=1e-15)
+    w = ad.parameter(rng.standard_normal((3, 3)))
+    x = ad.constant(rng.standard_normal((5, 3, 3)))
+    (gw,) = ad.gradients((w * x).sum(), [w])
+    np.testing.assert_allclose(gw, x.data.sum(axis=0), atol=1e-15)

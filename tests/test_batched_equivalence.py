@@ -1,0 +1,152 @@
+"""The batched scoring path against the per-pair reference.
+
+``VariantScorer.score_rows`` embeds every distinct patch of a batch once,
+runs each group of equal-size cliques through the graph network as one
+stack, and scores all rows in one discriminator pass.  The reference takes
+each patch through ``assemble_embeddings`` on its own, scores each pair
+with the 1-d ``discriminate`` (or the variant's bilinear form), and sums
+the loss one directed score at a time.  Scores, loss and gradients must
+agree to 1e-12.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import patchgraph.autodiff as ad
+from patchgraph.gnn import ARCHITECTURES
+from patchgraph.matching import (
+    PAIRINGS,
+    SCORE_CLAMP,
+    FrameIndex,
+    ModelConfig,
+    VariantScorer,
+    assemble_embeddings,
+    discriminate,
+    init_model,
+    loss_emp_id,
+    symmetric_scores,
+)
+from patchgraph.scene import Frame, Patch, standard_camera
+
+TOL = 1e-12
+
+
+def make_frames(sizes, rng, features):
+    """Frames of the given patch counts with random locations, pixels and
+    (optionally) precomputed descriptors of width 4."""
+    frames = []
+    for fi, count in enumerate(sizes):
+        fid = "f%d" % fi
+        patches = [Patch("%s/p%d" % (fid, i), fid, (0.0, 0.0, 8.0, 8.0),
+                         rng.integers(0, 256, size=(8, 8), dtype=np.uint8),
+                         loc3d=rng.uniform(-5.0, 5.0, size=3),
+                         feature=rng.standard_normal(4) if features else None)
+                   for i in range(count)]
+        frames.append(Frame(fid, standard_camera(position=(0.0, 0.0, 0.0)),
+                            np.zeros(3), patches))
+    return frames
+
+
+def reference(rows, model, scorer):
+    """Per-pair directed scores and the loss summed score by score."""
+    embedded = {}
+
+    def embed(patch, frame):
+        key = (frame.frame_id, patch.patch_id)
+        if key not in embedded:
+            embedded[key] = assemble_embeddings(patch, frame, model)
+        return embedded[key]
+
+    def directed(ex, ey):
+        if scorer.pairing == "phi_psi":
+            return discriminate(ex.phi, ey.psi, model.disc)
+        field_x, field_y = scorer.pairing.split("_")
+        a, b = getattr(ex, field_x), getattr(ey, field_y)
+        return ad.sigmoid(a @ (scorer.matrix @ b))
+
+    lo, hi = SCORE_CLAMP
+    scores, loss = [], ad.constant(0.0)
+    for px, fx, py, fy, label in rows:
+        ex, ey = embed(px, fx), embed(py, fy)
+        pair = (directed(ex, ey), directed(ey, ex))
+        scores.append(pair)
+        for d in pair:
+            d = ad.clamp(d, lo, hi)
+            loss = loss + ad.log(d if label else 1.0 - d)
+    return scores, loss * (-0.5 / len(rows))
+
+
+def assert_matches_reference(rows, model, scorer):
+    ref_scores, ref_loss = reference(rows, model, scorer)
+    d_xy, d_yx = scorer.score_rows(rows)
+    np.testing.assert_allclose(d_xy.data, [float(a.data) for a, _ in ref_scores],
+                               rtol=0, atol=TOL)
+    np.testing.assert_allclose(d_yx.data, [float(b.data) for _, b in ref_scores],
+                               rtol=0, atol=TOL)
+
+    loss = loss_emp_id(rows, model, scorer=scorer)
+    assert abs(float(loss.data) - float(ref_loss.data)) <= TOL
+    params = scorer.trainable()
+    for got, want in zip(ad.gradients(loss, params),
+                         ad.gradients(ref_loss, params)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+
+    # inference: one index across two calls; the second reuses its rows
+    index = FrameIndex()
+    want = [0.5 * (float(a.data) + float(b.data)) for a, b in ref_scores]
+    for _ in range(2):
+        np.testing.assert_allclose(symmetric_scores(rows, scorer, index),
+                                   want, rtol=0, atol=TOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_score_rows_matches_per_pair_reference(data):
+    arch = data.draw(st.sampled_from(ARCHITECTURES), label="arch")
+    pool = data.draw(st.sampled_from(("mean", "max")), label="pool")
+    descriptors = data.draw(st.sampled_from(
+        ("feature", "fixed_hist", "tiny_conv")), label="descriptors")
+    pairing = data.draw(st.sampled_from(PAIRINGS), label="pairing")
+    k = data.draw(st.integers(1, 3), label="k")
+    # frame sizes from a single patch up to more than K+1 patches
+    sizes = data.draw(st.lists(st.integers(1, k + 2), min_size=1,
+                               max_size=3), label="sizes")
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    rng = np.random.default_rng(seed)
+    frames = make_frames(sizes, rng, features=descriptors == "feature")
+    patches = [(p, f) for f in frames for p in f.patches]
+    # rows may repeat a patch, pair a patch with itself or stay in a frame
+    picks = data.draw(st.lists(
+        st.tuples(st.integers(0, len(patches) - 1),
+                  st.integers(0, len(patches) - 1), st.integers(0, 1)),
+        min_size=1, max_size=8), label="rows")
+    rows = [(*patches[i], *patches[j], label) for i, j, label in picks]
+    model = init_model(ModelConfig(
+        n=4, k=k, heads=2, architecture=arch, pool=pool,
+        featurizer="tiny_conv" if descriptors == "tiny_conv"
+        else "fixed_hist"), seed)
+    assert_matches_reference(rows, model, VariantScorer(model, pairing,
+                                                        seed=seed))
+
+
+@pytest.mark.parametrize("arch,pool",
+                         itertools.product(ARCHITECTURES, ("mean", "max")))
+def test_ragged_frames_and_repeated_patches(arch, pool):
+    """Frames of 1, 2 and 5 patches at K=3 (cliques of 1, 2 and 4
+    vertices), with rows that repeat a patch, pair a patch with itself and
+    stay inside one frame."""
+    rng = np.random.default_rng(7)
+    single, pair, full = make_frames([1, 2, 5], rng, features=False)
+    model = init_model(ModelConfig(n=4, k=3, heads=2, architecture=arch,
+                                   pool=pool), 7)
+    p, q = full.patches[0], full.patches[3]
+    rows = [(single.patches[0], single, p, full, 1),
+            (p, full, q, full, 0),                       # within one frame
+            (pair.patches[1], pair, p, full, 1),
+            (q, full, q, full, 1),                       # a patch and itself
+            (p, full, q, full, 1),                       # a repeated row
+            (pair.patches[0], pair, pair.patches[1], pair, 0)]
+    assert_matches_reference(rows, model, VariantScorer(model))

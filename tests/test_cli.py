@@ -185,6 +185,22 @@ class TestPlace:
         assert columns[1] == ["1"] * 6
 
 
+    def test_unconverged_sinkhorn_warns(self, workspace, tmp_path, capsys):
+        residuals = {}
+        for iters in ("1", "100"):
+            out = str(tmp_path / iters)
+            capsys.readouterr()
+            assert main(["place", "--data", workspace["data"], "--out", out,
+                         "--checkpoint", workspace["checkpoint"],
+                         "--set", "place.iters=" + iters]) == 0
+            err = capsys.readouterr().err
+            rep = read_json(os.path.join(out, "place_report.json"))
+            residuals[iters] = (rep["sinkhorn_max_residual"],
+                                "Sinkhorn" in err)
+        assert residuals["1"][0] > 1e-6 and residuals["1"][1]
+        assert residuals["100"][0] <= 1e-6 and not residuals["100"][1]
+
+
 class TestStereo:
     def test_oracle_depths_are_exact(self, tmp_path):
         out = str(tmp_path / "s")

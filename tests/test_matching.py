@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import patchgraph.autodiff as ad
+import patchgraph.matching as matching
 from patchgraph.matching import (
     DISCRIMINATORS,
     PAIRINGS,
@@ -185,20 +186,18 @@ class TestDiscriminator:
 
 class TestLoss:
     def test_uninformative_scores_give_ln2(self):
-        half = [(ad.constant(0.5), ad.constant(0.5))] * 4
-        loss = loss_from_scores(half, [1, 0, 1, 0])
+        half = ad.constant(np.full(4, 0.5))
+        loss = loss_from_scores(half, half, [1, 0, 1, 0])
         assert abs(float(loss.data) - math.log(2.0)) < 1e-15
 
     def test_perfect_scores_drive_loss_to_zero(self):
-        pairs = [(ad.constant(1.0), ad.constant(1.0)),
-                 (ad.constant(0.0), ad.constant(0.0))]
-        loss = float(loss_from_scores(pairs, [1, 0]).data)
+        d = ad.constant([1.0, 0.0])
+        loss = float(loss_from_scores(d, d, [1, 0]).data)
         assert 0.0 < loss < 1e-6
 
     def test_hand_batch_value(self):
-        pairs = [(ad.constant(0.8), ad.constant(0.8)),
-                 (ad.constant(0.3), ad.constant(0.3))]
-        loss = float(loss_from_scores(pairs, [1, 0]).data)
+        d = ad.constant([0.8, 0.3])
+        loss = float(loss_from_scores(d, d, [1, 0]).data)
         expected = (-math.log(0.8) - math.log(0.7)) / 2.0
         assert abs(loss - expected) < 1e-12
         assert abs(loss - 0.2899092476264711) < 1e-12
@@ -216,32 +215,32 @@ class TestLoss:
         with pytest.raises(ValueError):
             loss_emp_id([], model)
         with pytest.raises(ValueError):
-            loss_from_scores([], [])
+            loss_from_scores(ad.constant([]), ad.constant([]), [])
 
     def test_vector_loss_matches_per_pair_reference(self):
         rng = np.random.default_rng(22)
         raw = rng.uniform(0.0, 1.0, size=(7, 2))
         raw[0] = (0.0, 1.0)  # both clamp edges
         labels = [1, 0, 0, 1, 1, 0, 1]
-        scores = [(ad.parameter(a), ad.parameter(b)) for a, b in raw]
-        loss = loss_from_scores(scores, labels)
+        d_xy, d_yx = ad.parameter(raw[:, 0]), ad.parameter(raw[:, 1])
+        loss = loss_from_scores(d_xy, d_yx, labels)
         lo, hi = 1e-7, 1.0 - 1e-7
         d = np.clip(raw, lo, hi)
         y = np.asarray(labels, dtype=np.float64)[:, None]
         terms = y * np.log(d) + (1.0 - y) * np.log(1.0 - d)
         assert abs(float(loss.data) + terms.sum() / (2 * len(labels))) < 1e-14
-        grads = ad.gradients(loss, [t for pair in scores for t in pair])
+        grads = ad.gradients(loss, [d_xy, d_yx])
         inside = (raw >= lo) & (raw <= hi)
         expected = -(y / d - (1.0 - y) / (1.0 - d)) * inside / (2 * len(labels))
-        np.testing.assert_allclose(np.reshape(grads, (7, 2)), expected,
+        np.testing.assert_allclose(np.stack(grads, axis=1), expected,
                                    rtol=1e-12, atol=0.0)
 
     def test_bad_label_rejected(self):
-        pairs = [(ad.constant(0.5), ad.constant(0.5))]
+        half = ad.constant([0.5])
         with pytest.raises(ValueError):
-            loss_from_scores(pairs, [2])
+            loss_from_scores(half, half, [2])
         with pytest.raises(ValueError):
-            loss_from_scores(pairs, [0, 1])
+            loss_from_scores(half, half, [0, 1])
 
     def test_gradients_reach_every_component(self):
         rng = np.random.default_rng(6)
@@ -372,8 +371,9 @@ class FixedScorer:
     def __init__(self, table):
         self.table = table
 
-    def score_pair(self, px, fx, py, fy, cache=None):
-        s = ad.constant(self.table[(px.patch_id, py.patch_id)])
+    def score_rows(self, rows, cache=None):
+        s = ad.constant([self.table[(px.patch_id, py.patch_id)]
+                         for px, _, py, _, *_ in rows])
         return s, s
 
     def trainable(self):
@@ -474,13 +474,28 @@ class TestAblation:
                                 rng=rng) for i in range(3)]
         fa, fb = make_frame("f0", patches_a), make_frame("f1", patches_b)
         scorer = VariantScorer(model, "f_f", "bilinear", seed=1)
-        before = [float(t.data) for t in
-                  scorer.score_pair(patches_a[0], fa, patches_b[0], fb)]
+        rows = [(patches_a[0], fa, patches_b[0], fb)]
+        before = [float(t.data[0]) for t in scorer.score_rows(rows)]
         for t in model.gnn.tensors.values():
             t.data[...] += 10.0
-        after = [float(t.data) for t in
-                 scorer.score_pair(patches_a[0], fa, patches_b[0], fb)]
+        after = [float(t.data[0]) for t in scorer.score_rows(rows)]
         assert before == after
+
+    def test_feature_only_variant_builds_no_graphs(self, monkeypatch):
+        corpus, _ = feature_corpus(n=4, landmarks=4, seed=24)
+        model = init_model(ModelConfig(n=4, k=2, architecture="gcn"), seed=24)
+        scorer = VariantScorer(model, "f_f", "bilinear", seed=3)
+        calls = []
+        for name in ("graph_for_patch", "embed_graph"):
+            monkeypatch.setattr(matching, name,
+                                lambda *a, name=name, **kw: calls.append(name))
+        train(corpus, model, TrainConfig(epochs=2, lr=0.01, batch_size=4),
+              scorer=scorer)
+        evaluate(corpus, model, scorer=scorer)
+        loss = loss_emp_id(corpus.rows, model, scorer=scorer)
+        assert calls == []
+        for g in ad.gradients(loss, model.gnn.trainable()):
+            assert np.all(g == 0.0)
 
     @pytest.mark.parametrize("pairing", PAIRINGS)
     @pytest.mark.parametrize("disc", DISCRIMINATORS)
@@ -493,9 +508,9 @@ class TestAblation:
                                 rng=rng) for i in range(3)]
         fa, fb = make_frame("f0", patches_a), make_frame("f1", patches_b)
         scorer = VariantScorer(model, pairing, disc, seed=2)
-        d1, d2 = scorer.score_pair(patches_a[0], fa, patches_b[1], fb)
+        d1, d2 = scorer.score_rows([(patches_a[0], fa, patches_b[1], fb)])
         for d in (d1, d2):
-            assert 0.0 <= float(d.data) <= 1.0
+            assert 0.0 <= float(d.data[0]) <= 1.0
         if disc != "bilinear":
             assert scorer.trainable() == []
 
@@ -507,9 +522,10 @@ class TestAblation:
         frame = make_frame("f0", patches)
         a = VariantScorer(model, "phi_psi", "cosine")
         b = VariantScorer(model, "psi_psi", "cosine")
-        sa = a.score_pair(patches[0], frame, patches[1], frame)
-        sb = b.score_pair(patches[0], frame, patches[1], frame)
-        assert float(sa[0].data) == float(sb[0].data)
+        rows = [(patches[0], frame, patches[1], frame)]
+        sa = a.score_rows(rows)
+        sb = b.score_rows(rows)
+        assert float(sa[0].data[0]) == float(sb[0].data[0])
 
 
 class TestCheckpoint:

@@ -223,9 +223,10 @@ class PlaceScorer:
     def __init__(self, high=0.9, low=0.1):
         self.high, self.low = high, low
 
-    def score_pair(self, px, fx, py, fy, cache=None):
-        d = np.linalg.norm(fx.position - fy.position)
-        s = ad.constant(self.high if d < 10.0 else self.low)
+    def score_rows(self, rows, cache=None):
+        s = ad.constant([
+            self.high if np.linalg.norm(fx.position - fy.position) < 10.0
+            else self.low for _, fx, _, fy, *_ in rows])
         return s, s
 
     def trainable(self):
@@ -280,17 +281,32 @@ class TestPlaceRecognitionEval:
             expected.append((fa.frame_id, fb.frame_id, value,
                              int(value > 0.5), same_place_label(fa, fb)))
         embedded = []
-        original = matching.assemble_embeddings
+        original = matching.graph_for_patch
 
-        def counted(patch, frame, model):
+        def counted(patch, frame, k):
             embedded.append((frame.frame_id, patch.patch_id))
-            return original(patch, frame, model)
+            return original(patch, frame, k=k)
 
-        monkeypatch.setattr(matching, "assemble_embeddings", counted)
+        monkeypatch.setattr(matching, "graph_for_patch", counted)
         report = place_recognition_eval(pairs, model, threshold=0.5)
         assert len(embedded) == len(set(embedded)) == sum(
             len(f.patches) for f in frames)
         assert report.rows == expected
+
+    def test_report_carries_largest_sinkhorn_residual(self):
+        rng = np.random.default_rng(14)
+        model = init_model(ModelConfig(n=4, k=2), seed=8)
+        pairs = self._pairs(rng)[:3]
+        for iterations in (2, 100):
+            want = 0.0
+            for fa, fb in pairs:
+                plan = sinkhorn_assign(score_matrix(fa, fb, model),
+                                       iterations=iterations)
+                want = max(want, plan.row_residual, plan.col_residual)
+            report = place_recognition_eval(pairs, model, threshold=0.5,
+                                            iterations=iterations)
+            assert report.sinkhorn_max_residual == want
+        assert want < 1e-6
 
     def test_radius_sets_the_same_place_label(self):
         rng = np.random.default_rng(13)

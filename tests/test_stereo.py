@@ -161,10 +161,11 @@ class TestSyntheticStereo:
 class LandmarkScorer:
     """Stub: same landmark scores high, otherwise low."""
 
-    def score_pair(self, px, fx, py, fy, cache=None):
-        same = (px.landmark_id is not None
-                and px.landmark_id == py.landmark_id)
-        s = ad.constant(0.99 if same else 0.05)
+    def score_rows(self, rows, cache=None):
+        s = ad.constant([
+            0.99 if px.landmark_id is not None
+            and px.landmark_id == py.landmark_id else 0.05
+            for px, _, py, _, *_ in rows])
         return s, s
 
     def trainable(self):
