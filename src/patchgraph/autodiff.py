@@ -353,11 +353,6 @@ def stack_rows(rows):
     return _make(data, tuple(rows), tuple(vjps))
 
 
-def hconcat(a, b):
-    """Concatenate two tensors along their last axis."""
-    return concat([a, b])
-
-
 def row(a, i):
     """Row ``i`` of a matrix, or of every matrix in a stack (axis -2)."""
 
@@ -437,18 +432,9 @@ def clamp(a, lo, hi):
     return _make(y, (a,), (lambda g: g * inside,))
 
 
-def masked_row_softmax(logits, mask):
-    """Softmax over the last axis restricted to positions where ``mask`` is
-    nonzero.
-
-    ``mask`` is a constant 0/1 ndarray that broadcasts against ``logits``;
-    every row must have at least one nonzero entry.  Masked positions get
-    probability exactly 0.
-    """
-    m = np.asarray(mask, dtype=bool)
-    if not m.any(axis=-1).all():
-        raise ValueError("masked_row_softmax: some row has an empty mask")
-    z = np.where(m, logits.data, -np.inf)
+def softmax(logits):
+    """Softmax over the last axis."""
+    z = logits.data
     zmax = z.max(axis=-1, keepdims=True)
     e = np.exp(z - zmax)
     y = e / e.sum(axis=-1, keepdims=True)

@@ -77,25 +77,41 @@ def _json_safe(x):
     return x
 
 
+def _write_atomic(out_dir, name, write, newline=None):
+    """Write ``out_dir/name`` through ``write(fh)`` into a .tmp file that
+    replaces the target only once it is complete."""
+    path = os.path.join(out_dir, name)
+    staged = path + ".tmp"
+    try:
+        with open(staged, "w", newline=newline) as fh:
+            write(fh)
+        os.replace(staged, path)
+    finally:
+        if os.path.exists(staged):
+            os.remove(staged)
+    return path
+
+
 def _write_report(out_dir, name, payload, cfg, seed):
     payload = dict(payload)
     payload["config_hash"] = config_hash(cfg)
     payload["version"] = __version__
     payload["seed"] = seed
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
+
+    def write(fh):
         json.dump(_json_safe(payload), fh, indent=1, sort_keys=True)
         fh.write("\n")
-    return path
+
+    return _write_atomic(out_dir, name, write)
 
 
 def _write_csv(out_dir, name, header, rows):
-    path = os.path.join(out_dir, name)
-    with open(path, "w", newline="") as fh:
+    def write(fh):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    return path
+
+    return _write_atomic(out_dir, name, write, newline="")
 
 
 def _model_config(cfg):
@@ -106,9 +122,9 @@ def _model_config(cfg):
                        heads=cfg["model.heads"], pool=cfg["model.pool"])
 
 
-def _load_corpus(data_dir, split="train"):
+def _load_corpus(data_dir):
     manifest = os.path.join(data_dir, "manifest.jsonl")
-    loaded = load_dataset(manifest, split=split)
+    loaded = load_dataset(manifest)
     for line in loaded.diagnostics:
         print("warning: %s" % line, file=sys.stderr)
     corpus = PairCorpus.from_frames(loaded.frames, loaded.pairs.entries

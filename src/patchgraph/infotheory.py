@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _SUM_TOL = 1e-12
+_INTERIOR_EPS = 1e-12
 
 
 def _check_distribution(name, p, k=None):
@@ -167,7 +168,7 @@ def discrimination_objective(model, d):
     return float(model.prior * pos + (1.0 - model.prior) * neg)
 
 
-def optimal_discriminator(model, interior_eps=1e-12):
+def optimal_discriminator(model):
     """The objective-maximizing table prior*p_m / (prior*p_m + (1-prior)*p_u).
 
     Outcomes with zero marginal mass get the neutral value 0.5 and a warning;
@@ -182,7 +183,7 @@ def optimal_discriminator(model, interior_eps=1e-12):
     d = np.full(pm.shape, 0.5)
     live = ~dead
     d[live] = prior * pm[live] / marginal[live]
-    return np.clip(d, interior_eps, 1.0 - interior_eps)
+    return np.clip(d, _INTERIOR_EPS, 1.0 - _INTERIOR_EPS)
 
 
 def check_kl_lower_bound(model):

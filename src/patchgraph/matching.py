@@ -163,7 +163,14 @@ def save_model(path, model):
 
 def load_model(path):
     with open(str(path) + ".config.json") as fh:
-        config = ModelConfig(**json.load(fh))
+        fields = json.load(fh)
+    if not isinstance(fields, dict):
+        raise ValueError("checkpoint config is not a JSON object")
+    unknown = sorted(set(fields) - set(vars(ModelConfig())))
+    if unknown:
+        raise ValueError("checkpoint config has unknown keys: %s"
+                         % ", ".join(unknown))
+    config = ModelConfig(**fields)
     model = init_model(config, seed=0)
     stored = ad.load_named_tensors(path)
     expected = model.named_tensors()
@@ -197,10 +204,9 @@ class EnsembleEmbedding:
 def assemble_embeddings(patch, frame, model):
     """Featurize every vertex of the patch's neighborhood graph, embed the
     graph, and concatenate the ensemble vectors."""
-    graph = graph_for_patch(patch, frame, k=model.config.k)
-    feats = ad.stack_rows([featurize(v, model.featurizer)
-                           for v in graph.vertices])
-    emb = embed_graph(graph, feats, model.gnn, pool=model.config.pool)
+    vertices = graph_for_patch(patch, frame, k=model.config.k)
+    feats = ad.stack_rows([featurize(v, model.featurizer) for v in vertices])
+    emb = embed_graph(feats, model.gnn, pool=model.config.pool)
     f = ad.row(feats, 0)
     rho = emb.center()
     g = emb.graph
@@ -269,8 +275,7 @@ class FrameIndex:
     def __init__(self):
         self.slots = {}        # (frame id, patch id) -> slot
         self.patches = []      # slot -> (patch, frame)
-        self.cliques = {}      # slot -> (adjacency key, vertex slots)
-        self.graphs = {}       # adjacency key -> first graph with it
+        self.cliques = {}      # slot -> vertex slots, center first
         self.descriptors = {}  # slot -> fixed descriptor row
         self.embedded = {}     # slot -> {field: row} computed without a tape
 
@@ -283,15 +288,13 @@ class FrameIndex:
         return slot
 
     def clique(self, slot, k):
-        entry = self.cliques.get(slot)
-        if entry is None:
+        vertices = self.cliques.get(slot)
+        if vertices is None:
             patch, frame = self.patches[slot]
-            graph = graph_for_patch(patch, frame, k=k)
-            key = (graph.size, graph.adjacency.tobytes())
-            self.graphs.setdefault(key, graph)
-            entry = self.cliques[slot] = (
-                key, [self.slot(v, frame) for v in graph.vertices])
-        return entry
+            vertices = self.cliques[slot] = [
+                self.slot(v, frame)
+                for v in graph_for_patch(patch, frame, k=k)]
+        return vertices
 
     def descriptor_table(self, slots, featurizer):
         """(len(slots), n) descriptors; fixed rows come from the index, and
@@ -313,14 +316,14 @@ class FrameIndex:
     def embed(self, slots, model, context):
         """Descriptor ``f`` of each slot and, with ``context``, its vertex
         embedding ``rho`` and graph embedding ``g``: (len(slots), n) tensors.
-        The cliques are grouped by adjacency, and each group runs through
+        The cliques are grouped by size, and each group runs through
         ``embed_graph`` as one stack."""
         if not context:
             return {"f": self.descriptor_table(slots, model.featurizer)}
         groups = {}
         for slot in slots:
-            key, vertices = self.clique(slot, model.config.k)
-            groups.setdefault(key, []).append((slot, vertices))
+            vertices = self.clique(slot, model.config.k)
+            groups.setdefault(len(vertices), []).append((slot, vertices))
         members = [m for group in groups.values() for m in group]
         vertex_rows = {}
         for _, vertices in members:
@@ -328,11 +331,10 @@ class FrameIndex:
                 vertex_rows.setdefault(v, len(vertex_rows))
         table = self.descriptor_table(list(vertex_rows), model.featurizer)
         rho, g = [], []
-        for key, group in groups.items():
+        for group in groups.values():
             x = ad.take(table, [[vertex_rows[v] for v in vertices]
                                 for _, vertices in group])
-            emb = embed_graph(self.graphs[key], x, model.gnn,
-                              pool=model.config.pool)
+            emb = embed_graph(x, model.gnn, pool=model.config.pool)
             rho.append(emb.center())
             g.append(emb.graph)
         # back from group order to the order of ``slots``

@@ -20,6 +20,8 @@ SAME_PLACE_RADIUS_M = 10.0
 DUSTBIN_DEFAULT = 0.2
 SINKHORN_TAU = 0.1
 SINKHORN_ITERS = 100
+# share of the frame pairs that tunes the threshold when none is given
+VAL_FRACTION = 0.5
 # Largest row or column marginal error of a converged plan (acceptance
 # criterion 8); ``place`` warns when a run's plans miss it.
 SINKHORN_RESIDUAL_TOL = 1e-6
@@ -159,10 +161,9 @@ class PlaceRecognitionReport:
     sinkhorn_max_residual: float = 0.0  # largest plan marginal error
 
 
-def place_recognition_eval(frame_pairs, model, threshold=None,
-                           val_fraction=0.5, seed=0, scorer=None,
-                           dustbin=DUSTBIN_DEFAULT, tau=SINKHORN_TAU,
-                           iterations=SINKHORN_ITERS,
+def place_recognition_eval(frame_pairs, model, threshold=None, seed=0,
+                           scorer=None, dustbin=DUSTBIN_DEFAULT,
+                           tau=SINKHORN_TAU, iterations=SINKHORN_ITERS,
                            radius=SAME_PLACE_RADIUS_M):
     """Score frame pairs, tune the threshold on a validation split when
     none is given, and report F1/accuracy on the remaining pairs, with the
@@ -185,7 +186,7 @@ def place_recognition_eval(frame_pairs, model, threshold=None,
     if threshold is None:
         rng = rng_for(seed, "place/val-split")
         order = rng.permutation(len(scored))
-        n_val = max(1, int(round(val_fraction * len(scored))))
+        n_val = max(1, int(round(VAL_FRACTION * len(scored))))
         if len(scored) > 1:
             n_val = min(n_val, len(scored) - 1)
         val_idx = set(order[:n_val].tolist())

@@ -7,13 +7,12 @@ ingestion path reads the same manifest format back from disk, so externally
 prepared datasets flow through identical code.
 
 Conventions: world axes are x lateral, y vertical, z forward (depth);
-cameras look along +z of their own frame.
+cameras keep the world axes and look along +z.
 """
 
 import csv
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -63,7 +62,6 @@ class CameraModel:
     cy: float
     width: int
     height: int
-    rotation: np.ndarray = None     # world -> camera, 3x3
     position: np.ndarray = None     # camera center in world coordinates
 
     def __post_init__(self):
@@ -71,15 +69,13 @@ class CameraModel:
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
             raise ValueError("principal point outside the image")
-        if self.rotation is None:
-            self.rotation = np.eye(3)
-        self.rotation = np.asarray(self.rotation, dtype=np.float64)
         if self.position is None:
             self.position = np.zeros(3)
         self.position = np.asarray(self.position, dtype=np.float64)
 
     def world_to_camera(self, point):
-        return self.rotation @ (np.asarray(point, dtype=np.float64) - self.position)
+        """Camera axes are the world axes: the camera looks along +z."""
+        return np.asarray(point, dtype=np.float64) - self.position
 
 
 @dataclass
@@ -127,11 +123,8 @@ class PairEntry:
 @dataclass
 class PairDataset:
     entries: list
-    split: str = "train"
 
     def __post_init__(self):
-        if self.split not in ("train", "test"):
-            raise ValueError("split must be 'train' or 'test'")
         for e in self.entries:
             if e.label not in (0, 1):
                 raise ValueError("labels must be 0 or 1")
@@ -153,7 +146,6 @@ class NoiseConfig:
     sigma_loc: float = 0.2          # Gaussian noise on estimated 3D location
     occlusion_prob: float = 0.1     # chance a landmark is dropped per view
     sigma_pixel: float = 8.0        # additive pixel noise before quantization
-    bbox_margin: float = 0.0        # extra pixels kept around the projection
 
 
 def generate_scene(config, seed):
@@ -192,16 +184,11 @@ def generate_scene(config, seed):
     return landmarks
 
 
-def standard_camera(position, yaw=0.0, fx=700.0, fy=700.0, cx=640.0, cy=480.0,
+def standard_camera(position, fx=700.0, fy=700.0, cx=640.0, cy=480.0,
                     width=1280, height=960):
-    """Camera at ``position`` looking along world +z, rotated by ``yaw``
-    radians about the vertical axis."""
-    c, s = math.cos(yaw), math.sin(yaw)
-    rotation = np.array([[c, 0.0, -s],
-                         [0.0, 1.0, 0.0],
-                         [s, 0.0, c]])
+    """Camera at ``position`` looking along world +z."""
     return CameraModel(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height,
-                       rotation=rotation, position=np.asarray(position, float))
+                       position=np.asarray(position, float))
 
 
 def project_to_image(point3d, camera):
@@ -305,8 +292,8 @@ def render_views(scene, camera_a, camera_b, noise, seed, frame_ids=None):
             if occlude or not in_view:
                 continue
             size_w, size_h = _CLASS_SIZE[lm.landmark_class]
-            half_w = 0.5 * camera.fx * size_w / depth + noise.bbox_margin
-            half_h = 0.5 * camera.fy * size_h / depth + noise.bbox_margin
+            half_w = 0.5 * camera.fx * size_w / depth
+            half_h = 0.5 * camera.fy * size_h / depth
             bbox = (u - half_w, v - half_h, u + half_w, v + half_h)
             img = _texture(lm.landmark_class, lm.appearance_seed, 8.0 / depth)
             if noise.sigma_pixel > 0:
@@ -474,7 +461,7 @@ class LoadedDataset:
     diagnostics: list
 
 
-def load_dataset(manifest_path, pairs_path=None, split="train"):
+def load_dataset(manifest_path, pairs_path=None):
     """Read a manifest written by save_dataset (or prepared externally).
 
     Malformed records are skipped and reported in ``diagnostics`` as
@@ -534,7 +521,7 @@ def load_dataset(manifest_path, pairs_path=None, split="train"):
                 else:
                     entries.append(PairEntry(*ids, int(row["label"])))
     return LoadedDataset(frames=frames,
-                         pairs=PairDataset(entries=entries, split=split),
+                         pairs=PairDataset(entries=entries),
                          diagnostics=diagnostics)
 
 

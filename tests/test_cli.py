@@ -349,3 +349,42 @@ class TestErrors:
                    "--out", str(tmp_path / "o")] + TINY_TRAIN)
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sidecar,named", [("extra key", "dropout"),
+                                               ("list", "not a JSON object")])
+    def test_unknown_checkpoint_config_key_exits_1(self, workspace, tmp_path,
+                                                   capsys, sidecar, named):
+        ckpt = str(tmp_path / "model.json")
+        with open(workspace["checkpoint"]) as src, open(ckpt, "w") as dst:
+            dst.write(src.read())
+        config = read_json(workspace["checkpoint"] + ".config.json")
+        config["dropout"] = 0.1
+        if sidecar == "list":
+            config = sorted(config)
+        with open(ckpt + ".config.json", "w") as fh:
+            json.dump(config, fh)
+        capsys.readouterr()
+        rc = main(["eval", "--data", workspace["data"], "--checkpoint", ckpt,
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert named in err
+
+    def test_failed_report_write_keeps_previous_report(self, tmp_path,
+                                                       monkeypatch):
+        out = str(tmp_path / "t")
+        args = ["verify-theory", "--out", out] + TestVerifyTheory.ARGS
+        assert main(args) == 0
+        path = os.path.join(out, "theory_report.json")
+        before = open(path).read()
+
+        def torn_dump(obj, fh, **kwargs):
+            fh.write('{"torn": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        assert main(args) == 1
+        assert open(path).read() == before
+        assert json.loads(before)["all_pass"] is True
+        assert os.listdir(out) == ["theory_report.json"]

@@ -15,15 +15,8 @@ from patchgraph.gnn import (
     init_gnn,
     sage_layer,
 )
-from patchgraph.neighbors import NeighborhoodGraph
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "gnn_clique.json"
-
-
-def clique_graph(v):
-    adj = np.ones((v, v)) - np.eye(v)
-    return NeighborhoodGraph(vertices=["v%d" % i for i in range(v)],
-                             center_index=0, adjacency=adj, k_used=v - 1)
 
 
 def identity(t):
@@ -33,53 +26,40 @@ def identity(t):
 class TestGcnLayer:
     def test_single_vertex_identity(self):
         x = ad.constant([[1.5, -2.0, 0.25]])
-        out = gcn_layer(x, np.zeros((1, 1)), ad.constant(np.eye(3)),
-                        activation=identity)
-        # normalized adjacency of a lone self-loop is exactly 1
+        out = gcn_layer(x, ad.constant(np.eye(3)), activation=identity)
+        # the normalized operator of a lone self-loop is exactly 1
         assert np.array_equal(out.data, x.data)
 
     def test_two_vertex_clique_hand_value(self):
         x = ad.constant(np.eye(2))
-        adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = gcn_layer(x, adj, ad.constant(np.eye(2)), activation=identity)
+        out = gcn_layer(x, ad.constant(np.eye(2)), activation=identity)
         np.testing.assert_allclose(out.data, [[0.5, 0.5], [0.5, 0.5]],
                                    atol=1e-15)
 
-    def test_three_vertex_path_hand_normalization(self):
-        # path 0-1-2: degrees with self-loops are 2, 3, 2
-        adj = np.array([[0.0, 1.0, 0.0],
-                        [1.0, 0.0, 1.0],
-                        [0.0, 1.0, 0.0]])
-        out = gcn_layer(ad.constant(np.eye(3)), adj, ad.constant(np.eye(3)),
-                        activation=identity)
-        d = np.array([2.0, 3.0, 2.0])
-        expected = (adj + np.eye(3)) / np.sqrt(np.outer(d, d))
-        np.testing.assert_allclose(out.data, expected, atol=1e-15)
+    @pytest.mark.parametrize("v", range(1, 7))
+    def test_clique_rows_are_identical(self, v):
+        # every vertex of a clique sees the same closed neighborhood, so
+        # every output row is the same mean of all rows, bit for bit
+        rng = np.random.default_rng(100 + v)
+        x = ad.constant(rng.standard_normal((v, 3)))
+        w = rng.standard_normal((3, 3))
+        out = gcn_layer(x, ad.constant(w), activation=identity)
+        for i in range(1, v):
+            assert np.array_equal(out.data[i], out.data[0])
+        np.testing.assert_allclose(out.data[0], x.data.mean(axis=0) @ w,
+                                   atol=1e-12)
 
     def test_grad_check_two_stacked_layers(self):
         rng = np.random.default_rng(0)
         x = ad.constant(rng.standard_normal((4, 3)))
-        adj = np.ones((4, 4)) - np.eye(4)
         w1 = ad.parameter(rng.standard_normal((3, 3)))
         w2 = ad.parameter(rng.standard_normal((3, 3)))
 
         def f():
-            h = gcn_layer(x, adj, w1)
-            return ad.tsum(gcn_layer(h, adj, w2))
+            h = gcn_layer(x, w1)
+            return ad.tsum(gcn_layer(h, w2))
 
         assert ad.grad_check(f, [w1, w2]) < 1e-4
-
-    def test_bad_adjacency_rejected(self):
-        x = ad.constant(np.ones((2, 2)))
-        w = ad.constant(np.eye(2))
-        with pytest.raises(ValueError):
-            gcn_layer(x, np.array([[0.0, 1.0], [0.0, 0.0]]), w)  # asymmetric
-        with pytest.raises(ValueError):
-            gcn_layer(x, np.eye(2), w)  # self-loops
-        with pytest.raises(ValueError):
-            gcn_layer(x, np.array([[0.0, 0.5], [0.5, 0.0]]), w)  # non-binary
-        with pytest.raises(ValueError):
-            gcn_layer(x, np.zeros((3, 3)), w)  # shape
 
 
 class TestGatLayer:
@@ -87,7 +67,7 @@ class TestGatLayer:
         rng = np.random.default_rng(1)
         x = ad.constant(rng.standard_normal((1, 4)))
         w = ad.constant(rng.standard_normal((4, 2)))
-        alpha, wx = gat_attention(x, np.zeros((1, 1)), w,
+        alpha, wx = gat_attention(x, w,
                                   ad.constant(rng.standard_normal(2)),
                                   ad.constant(rng.standard_normal(2)))
         assert alpha.data.shape == (1, 1)
@@ -98,8 +78,7 @@ class TestGatLayer:
         rng = np.random.default_rng(2)
         row = rng.standard_normal(4)
         x = ad.constant(np.tile(row, (5, 1)))
-        adj = np.ones((5, 5)) - np.eye(5)
-        alpha, _ = gat_attention(x, adj, ad.constant(rng.standard_normal((4, 2))),
+        alpha, _ = gat_attention(x, ad.constant(rng.standard_normal((4, 2))),
                                  ad.constant(rng.standard_normal(2)),
                                  ad.constant(rng.standard_normal(2)))
         np.testing.assert_allclose(alpha.data, np.full((5, 5), 0.2), atol=1e-12)
@@ -109,11 +88,7 @@ class TestGatLayer:
         rng = np.random.default_rng(10 + seed)
         v = int(rng.integers(2, 7))
         x = ad.constant(rng.standard_normal((v, 4)))
-        # random symmetric hollow adjacency
-        upper = rng.integers(0, 2, size=(v, v))
-        adj = np.triu(upper, 1)
-        adj = (adj + adj.T).astype(np.float64)
-        alpha, _ = gat_attention(x, adj, ad.constant(rng.standard_normal((4, 3))),
+        alpha, _ = gat_attention(x, ad.constant(rng.standard_normal((4, 3))),
                                  ad.constant(rng.standard_normal(3)),
                                  ad.constant(rng.standard_normal(3)))
         np.testing.assert_allclose(alpha.data.sum(axis=1), np.ones(v),
@@ -122,22 +97,19 @@ class TestGatLayer:
     def test_heads_concatenate(self):
         rng = np.random.default_rng(3)
         x = ad.constant(rng.standard_normal((3, 4)))
-        adj = np.ones((3, 3)) - np.eye(3)
         heads = [(ad.constant(rng.standard_normal((4, 2))),
                   ad.constant(rng.standard_normal(2)),
                   ad.constant(rng.standard_normal(2))) for _ in range(2)]
-        out = gat_layer(x, adj, heads)
+        out = gat_layer(x, heads)
         assert out.data.shape == (3, 4)
 
     def test_grad_check(self):
         rng = np.random.default_rng(4)
         x = ad.constant(rng.standard_normal((4, 4)))
-        adj = np.ones((4, 4)) - np.eye(4)
         params = init_gnn("gat", 4, seed=0, heads=2)
 
         def f():
-            g = clique_graph(4)
-            return ad.tsum(embed_graph(g, x, params).graph)
+            return ad.tsum(embed_graph(x, params).graph)
 
         assert ad.grad_check(f, params.trainable()) < 1e-4
 
@@ -145,10 +117,9 @@ class TestGatLayer:
 class TestSageLayer:
     def test_isolated_vertex_uses_only_self(self):
         rng = np.random.default_rng(5)
-        x_data = rng.standard_normal((2, 3))
+        x_data = rng.standard_normal((1, 3))
         w_data = rng.standard_normal((6, 3))
-        out = sage_layer(ad.constant(x_data), np.zeros((2, 2)),
-                         ad.constant(w_data))
+        out = sage_layer(ad.constant(x_data), ad.constant(w_data))
         expected = np.maximum(
             np.hstack([x_data, np.zeros_like(x_data)]) @ w_data, 0.0)
         np.testing.assert_allclose(out.data, expected, atol=1e-15)
@@ -157,8 +128,7 @@ class TestSageLayer:
         rng = np.random.default_rng(6)
         row = rng.standard_normal(3)
         x = ad.constant(np.tile(row, (4, 1)))
-        adj = np.ones((4, 4)) - np.eye(4)
-        out = sage_layer(x, adj, ad.constant(rng.standard_normal((6, 3))))
+        out = sage_layer(x, ad.constant(rng.standard_normal((6, 3))))
         for i in range(1, 4):
             np.testing.assert_allclose(out.data[i], out.data[0], atol=1e-14)
 
@@ -168,7 +138,7 @@ class TestSageLayer:
         params = init_gnn("sage", 4, seed=1)
 
         def f():
-            return ad.tsum(embed_graph(clique_graph(3), x, params).graph)
+            return ad.tsum(embed_graph(x, params).graph)
 
         assert ad.grad_check(f, params.trainable()) < 1e-4
 
@@ -178,8 +148,7 @@ class TestEmbedGraph:
     def test_single_vertex_graph_embedding_equals_center(self, arch):
         rng = np.random.default_rng(8)
         params = init_gnn(arch, 4, seed=2)
-        emb = embed_graph(clique_graph(1),
-                          ad.constant(rng.standard_normal((1, 4))), params)
+        emb = embed_graph(ad.constant(rng.standard_normal((1, 4))), params)
         np.testing.assert_allclose(emb.graph.data, emb.center().data,
                                    atol=1e-15)
 
@@ -189,17 +158,11 @@ class TestEmbedGraph:
         v, n = 6, 4
         params = init_gnn(arch, n, seed=3)
         x = rng.standard_normal((v, n))
-        upper = rng.integers(0, 2, size=(v, v))
-        adj = (np.triu(upper, 1) + np.triu(upper, 1).T).astype(np.float64)
         perm = rng.permutation(v)
         p = np.eye(v)[perm]
 
-        g1 = NeighborhoodGraph(["v%d" % i for i in range(v)], 0, adj, v - 1)
-        emb1 = embed_graph(g1, ad.constant(x), params)
-        g2 = NeighborhoodGraph(["v%d" % i for i in perm],
-                               int(np.argwhere(perm == 0)[0, 0]),
-                               p @ adj @ p.T, v - 1)
-        emb2 = embed_graph(g2, ad.constant(p @ x), params)
+        emb1 = embed_graph(ad.constant(x), params)
+        emb2 = embed_graph(ad.constant(p @ x), params)
 
         np.testing.assert_allclose(emb2.vertex.data, p @ emb1.vertex.data,
                                    atol=1e-12)
@@ -213,22 +176,23 @@ class TestEmbedGraph:
     def test_max_pool(self):
         rng = np.random.default_rng(10)
         params = init_gnn("gcn", 4, seed=4)
-        emb = embed_graph(clique_graph(3),
-                          ad.constant(rng.standard_normal((3, 4))), params,
+        emb = embed_graph(ad.constant(rng.standard_normal((3, 4))), params,
                           pool="max")
         np.testing.assert_allclose(emb.graph.data,
                                    emb.vertex.data.max(axis=0), atol=1e-15)
 
     def test_row_count_mismatch_rejected(self):
+        # features need a vertex-row axis, at most one stack axis, and at
+        # least one vertex row
         params = init_gnn("gcn", 4, seed=5)
-        with pytest.raises(ValueError):
-            embed_graph(clique_graph(3), ad.constant(np.zeros((2, 4))), params)
+        for shape in ((4,), (2, 2, 3, 4), (0, 4), (2, 0, 4)):
+            with pytest.raises(ValueError):
+                embed_graph(ad.constant(np.zeros(shape)), params)
 
     def test_unknown_pool_rejected(self):
         params = init_gnn("gcn", 4, seed=5)
         with pytest.raises(ValueError):
-            embed_graph(clique_graph(2), ad.constant(np.zeros((2, 4))),
-                        params, pool="sum")
+            embed_graph(ad.constant(np.zeros((2, 4))), params, pool="sum")
 
     def test_non_finite_embeddings_rejected(self):
         with pytest.raises(ValueError):
@@ -241,7 +205,7 @@ class TestEmbedGraph:
         x = ad.constant(rng.standard_normal((4, 8)))
         for arch in ("gcn", "gat", "sage"):
             params = init_gnn(arch, 8, seed=77)
-            emb = embed_graph(clique_graph(4), x, params)
+            emb = embed_graph(x, params)
             np.testing.assert_allclose(emb.graph.data,
                                        np.asarray(golden[arch]["graph"]),
                                        atol=1e-12)

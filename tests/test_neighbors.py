@@ -1,4 +1,4 @@
-"""Tests for neighbor selection and clique construction."""
+"""Tests for neighbor selection and clique vertex lists."""
 
 import numpy as np
 import pytest
@@ -73,38 +73,31 @@ def test_knn_stable_under_small_perturbation():
         assert again == base
 
 
+def _frame(patches):
+    from patchgraph.scene import Frame, standard_camera
+    return Frame(frame_id="f0", camera=standard_camera((0, 0, 0)),
+                 position=np.zeros(3), patches=patches)
+
+
 def test_clique_singleton():
-    g = nb.build_clique(_patch("f0/p0", [0, 0, 0]), [])
-    assert g.size == 1
-    assert g.k_used == 0
-    np.testing.assert_array_equal(g.adjacency, np.zeros((1, 1)))
+    center = _patch("f0/p0", [0, 0, 0])
+    g = nb.graph_for_patch(center, _frame([center]))
+    assert len(g) == 1
+    assert g == [center]
 
 
 def test_clique_three_neighbors():
+    # listed out of distance order: the clique is the center, then knn order
     center = _patch("f0/p0", [0, 0, 0])
-    neigh = [_patch("f0/p%d" % i, [i, 0, 0]) for i in (1, 2, 3)]
-    g = nb.build_clique(center, neigh)
-    assert g.size == 4
-    assert g.center_index == 0
-    assert g.adjacency.sum() == 12  # 6 undirected edges
-    np.testing.assert_array_equal(g.adjacency, g.adjacency.T)
-    assert not g.adjacency.diagonal().any()
+    neigh = [_patch("f0/p%d" % i, [i, 0, 0]) for i in (3, 1, 2)]
+    g = nb.graph_for_patch(center, _frame(neigh + [center]), k=5)
+    assert len(g) == 4
+    assert g[0] is center
+    assert [v.patch_id for v in g] == ["f0/p0", "f0/p1", "f0/p2", "f0/p3"]
 
 
 def test_graph_for_patch_uses_frame_neighbors():
-    from patchgraph.scene import Frame, standard_camera
     patches = [_patch("f0/p%d" % i, [i * 1.0, 0, 10]) for i in range(6)]
-    frame = Frame(frame_id="f0", camera=standard_camera((0, 0, 0)),
-                  position=np.zeros(3), patches=patches)
-    g = nb.graph_for_patch(patches[0], frame, k=3)
-    assert g.size == 4
-    assert [v.patch_id for v in g.vertices] == ["f0/p0", "f0/p1", "f0/p2", "f0/p3"]
-
-
-def test_adjacency_validation():
-    center = _patch("f0/p0", [0, 0, 0])
-    with pytest.raises(ValueError):
-        nb.NeighborhoodGraph([center], 0, np.ones((1, 1)), 0)
-    with pytest.raises(ValueError):
-        nb.NeighborhoodGraph([center], 2, np.zeros((1, 1)), 0)
-
+    g = nb.graph_for_patch(patches[0], _frame(patches), k=3)
+    assert len(g) == 4
+    assert [v.patch_id for v in g] == ["f0/p0", "f0/p1", "f0/p2", "f0/p3"]

@@ -285,7 +285,7 @@ def test_dataset_round_trip(tmp_path):
     noise = sc.NoiseConfig(sigma_loc=0.1, occlusion_prob=0.0)
     fa, fb = sc.render_views(scene, _cam((0, 1.5, 0)), _cam((4, 1.5, 0)), noise, 8)
     entries, _ = sc.ground_truth_pairs(fa, fb)
-    pairs = sc.PairDataset(entries=entries, split="train")
+    pairs = sc.PairDataset(entries=entries)
     manifest = sc.save_dataset(tmp_path / "ds", [fa, fb], pairs)
 
     loaded = sc.load_dataset(manifest)
