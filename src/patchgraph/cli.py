@@ -114,14 +114,6 @@ def _write_csv(out_dir, name, header, rows):
     return _write_atomic(out_dir, name, write, newline="")
 
 
-def _model_config(cfg):
-    return ModelConfig(n=cfg["model.n"], k=cfg["model.k"],
-                       gamma=cfg["model.gamma"],
-                       featurizer=cfg["model.featurizer"],
-                       architecture=cfg["model.arch"],
-                       heads=cfg["model.heads"], pool=cfg["model.pool"])
-
-
 def _load_corpus(data_dir):
     manifest = os.path.join(data_dir, "manifest.jsonl")
     loaded = load_dataset(manifest)
@@ -197,10 +189,8 @@ def cmd_synth(cfg, seed, out_dir, args):
 
 def cmd_train(cfg, seed, out_dir, args):
     _, corpus = _load_corpus(args.data)
-    model = init_model(_model_config(cfg), seed)
-    tc = TrainConfig(epochs=cfg["train.epochs"], lr=cfg["train.lr"],
-                     batch_size=cfg["train.batch"], seed=seed,
-                     balance=cfg["train.balance"])
+    model = init_model(ModelConfig.from_config(cfg), seed)
+    tc = TrainConfig.from_config(cfg, seed)
     model, history = train(corpus, model, tc)
     ckpt = os.path.join(out_dir, "model.json")
     save_model(ckpt, model)
@@ -228,7 +218,7 @@ def _metrics_rows(metrics):
 def cmd_eval(cfg, seed, out_dir, args):
     _, corpus = _load_corpus(args.data)
     if args.perfect_oracle:
-        model = init_model(_model_config(cfg), seed)
+        model = init_model(ModelConfig.from_config(cfg), seed)
         scorer = OracleScorer()
     else:
         model = load_model(args.checkpoint)
@@ -285,13 +275,11 @@ def cmd_match(cfg, seed, out_dir, args):
 def cmd_ablate(cfg, seed, out_dir, args):
     _, corpus_train = _load_corpus(args.data)
     _, corpus_test = _load_corpus(args.test_data or args.data)
-    tc = TrainConfig(epochs=cfg["train.epochs"], lr=cfg["train.lr"],
-                     batch_size=cfg["train.batch"], seed=seed,
-                     balance=cfg["train.balance"])
+    tc = TrainConfig.from_config(cfg, seed)
     rows = []
     flagship_model = None
     for pairing in ("phi_psi", "f_f", "rho_rho", "phi_phi", "psi_psi"):
-        model = init_model(_model_config(cfg), seed)
+        model = init_model(ModelConfig.from_config(cfg), seed)
         scorer = VariantScorer(model, pairing, "bilinear", seed=seed)
         train(corpus_train, model, tc, scorer=scorer)
         metrics = evaluate(corpus_test, model, scorer=scorer)
@@ -372,7 +360,8 @@ def cmd_stereo(cfg, seed, out_dir, args):
     left, right = render_views(landmarks, cam_l, cam_r, noise, seed)
     geometry = StereoGeometry(fx=cam_l.fx, baseline=baseline)
     if cfg["stereo.oracle_match"]:
-        scorer, model = OracleScorer(), init_model(_model_config(cfg), seed)
+        scorer = OracleScorer()
+        model = init_model(ModelConfig.from_config(cfg), seed)
     else:
         scorer, model = None, load_model(args.checkpoint)
     estimates = estimate_depths(left, right, model, geometry,

@@ -7,12 +7,7 @@ listed at once, not just the first.
 """
 
 import hashlib
-
-_ENUMS = {
-    "model.arch": ("gcn", "gat", "sage"),
-    "model.featurizer": ("fixed_hist", "tiny_conv"),
-    "model.pool": ("mean", "max"),
-}
+import math
 
 # key -> (default, type, validator description, predicate)
 _POSITIVE = ("must be > 0", lambda v: v > 0)
@@ -20,13 +15,18 @@ _NON_NEGATIVE = ("must be >= 0", lambda v: v >= 0)
 _UNIT = ("must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 _ANY = ("", lambda v: True)
 
+
+def _one_of(*choices):
+    return ("is not one of " + "/".join(choices), lambda v: v in choices)
+
+
 SCHEMA = {
     "model.n":            (32, int, _POSITIVE),
     "model.k":            (5, int, _POSITIVE),
-    "model.arch":         ("gat", str, _ANY),
+    "model.arch":         ("gat", str, _one_of("gcn", "gat", "sage")),
     "model.heads":        (4, int, _POSITIVE),
-    "model.featurizer":   ("fixed_hist", str, _ANY),
-    "model.pool":         ("mean", str, _ANY),
+    "model.featurizer":   ("fixed_hist", str, _one_of("fixed_hist", "tiny_conv")),
+    "model.pool":         ("mean", str, _one_of("mean", "max")),
     "model.gamma":        (0.5, float, _UNIT),
 
     "train.lr":           (1e-4, float, _POSITIVE),
@@ -80,8 +80,35 @@ def default_config():
     return {k: spec[0] for k, spec in SCHEMA.items()}
 
 
-def _parse_value(key, raw, problems):
+def check_value(key, value):
+    """The problem with ``value`` for ``key``, or None.  A number must not
+    be a bool, and a float key takes an int or a finite float."""
     _, typ, (desc, pred) = SCHEMA[key]
+    kinds = (int, float) if typ is float else typ
+    if not isinstance(value, kinds) or (typ is not bool
+                                        and isinstance(value, bool)):
+        return "%s: expected %s, got %r" % (key, typ.__name__, value)
+    if typ is float and not math.isfinite(value):
+        return "%s: %r is not finite" % (key, value)
+    if not pred(value):
+        return "%s: %r %s" % (key, value, desc)
+    return None
+
+
+def model_problems(cfg):
+    """Every problem with the ``model.*`` entries of ``cfg``, including gat
+    heads that do not divide n."""
+    problems = [p for p in (check_value(key, cfg[key]) for key in SCHEMA
+                            if key.startswith("model.")) if p]
+    if (not problems and cfg["model.arch"] == "gat"
+            and cfg["model.n"] % cfg["model.heads"]):
+        problems.append("model.heads: must divide model.n for the gat "
+                        "architecture")
+    return problems
+
+
+def _parse_value(key, raw, problems):
+    typ = SCHEMA[key][1]
     raw = raw.strip()
     try:
         if typ is bool:
@@ -92,23 +119,14 @@ def _parse_value(key, raw, problems):
                 value = False
             else:
                 raise ValueError
-        elif typ is int:
-            value = int(raw)
-        elif typ is float:
-            value = float(raw)
-            if value != value or value in (float("inf"), float("-inf")):
-                raise ValueError
         else:
-            value = raw
+            value = typ(raw)
     except ValueError:
         problems.append("%s: cannot parse %r as %s" % (key, raw, typ.__name__))
         return None
-    if key in _ENUMS and value not in _ENUMS[key]:
-        problems.append("%s: %r is not one of %s"
-                        % (key, value, "/".join(_ENUMS[key])))
-        return None
-    if not pred(value):
-        problems.append("%s: %r %s" % (key, value, desc))
+    problem = check_value(key, value)
+    if problem:
+        problems.append(problem)
         return None
     return value
 
@@ -155,9 +173,7 @@ def load_config(path=None, overrides=()):
     _apply(cfg, override_items, problems)
     if cfg["stereo.depth_min"] >= cfg["stereo.depth_max"]:
         problems.append("stereo.depth_min: must be < stereo.depth_max")
-    if cfg["model.arch"] == "gat" and cfg["model.n"] % cfg["model.heads"]:
-        problems.append("model.heads: must divide model.n for the gat "
-                        "architecture")
+    problems.extend(model_problems(cfg))
     if problems:
         raise ConfigError(problems)
     return cfg

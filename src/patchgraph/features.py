@@ -1,8 +1,9 @@
-"""Patch descriptors: pixels to R^n.
+"""Patch descriptors: 8-bit grayscale pixels (H, W) to R^n.
 
 Two interchangeable variants sit behind one dispatch:
 
-* ``fixed_hist``: histogram statistics through a seeded random projection.
+* ``fixed_hist``: a 16-bin intensity histogram and an 8-bin
+  gradient-orientation histogram through a seeded random projection.
   Deterministic, never trained; fast enough to precompute for a dataset.
 * ``tiny_conv``: a three-block strided convolution stack with a linear head,
   built on the autodiff engine so gradients reach every weight.
@@ -29,10 +30,6 @@ class FeaturizerParams:
     n: int
     tensors: dict  # name -> Tensor
 
-    def __post_init__(self):
-        if self.variant not in ("fixed_hist", "tiny_conv"):
-            raise ValueError("unknown featurizer variant %r" % self.variant)
-
     def trainable(self):
         return [t for t in self.tensors.values() if t.requires_grad]
 
@@ -44,63 +41,57 @@ def _conv_channels(n):
     return max(4, n // 4), max(4, n // 2), n
 
 
-def init_featurizer(variant, n, seed, channels=1):
+def init_featurizer(variant, n, seed):
     """Fresh parameters; layer weights uniform in +-1/sqrt(fan_in)."""
     rng = rng_for(seed, "featurizer")
     if variant == "fixed_hist":
-        d = (INTENSITY_BINS + ORIENTATION_BINS) * channels
+        d = INTENSITY_BINS + ORIENTATION_BINS
         proj = rng.standard_normal((n, d)) / math.sqrt(d)
         return FeaturizerParams(variant, n, {"projection": ad.constant(proj)})
-    if variant == "tiny_conv":
-        c1, c2, c3 = _conv_channels(n)
-        tensors = {}
+    c1, c2, c3 = _conv_channels(n)
+    tensors = {}
 
-        def unif(name, shape, fan_in):
-            bound = 1.0 / math.sqrt(fan_in)
-            tensors[name] = ad.parameter(rng.uniform(-bound, bound, size=shape))
+    def unif(name, shape, fan_in):
+        bound = 1.0 / math.sqrt(fan_in)
+        tensors[name] = ad.parameter(rng.uniform(-bound, bound, size=shape))
 
-        unif("conv1.w", (c1, channels, 3, 3), channels * 9)
-        unif("conv1.b", (c1,), channels * 9)
-        unif("conv2.w", (c2, c1, 3, 3), c1 * 9)
-        unif("conv2.b", (c2,), c1 * 9)
-        unif("conv3.w", (c3, c2, 3, 3), c2 * 9)
-        unif("conv3.b", (c3,), c2 * 9)
-        unif("head.w", (n, c3), c3)
-        unif("head.b", (n,), c3)
-        return FeaturizerParams(variant, n, tensors)
-    raise ValueError("unknown featurizer variant %r" % variant)
+    unif("conv1.w", (c1, 1, 3, 3), 9)
+    unif("conv1.b", (c1,), 9)
+    unif("conv2.w", (c2, c1, 3, 3), c1 * 9)
+    unif("conv2.b", (c2,), c1 * 9)
+    unif("conv3.w", (c3, c2, 3, 3), c2 * 9)
+    unif("conv3.b", (c3,), c2 * 9)
+    unif("head.w", (n, c3), c3)
+    unif("head.b", (n,), c3)
+    return FeaturizerParams(variant, n, tensors)
 
 
-def _as_channels(pixels):
+def _grayscale(pixels):
     arr = np.asarray(pixels)
     if arr.size == 0:
         raise ValueError("empty pixel block")
-    if arr.ndim == 2:
-        return arr[None, :, :]
-    if arr.ndim == 3 and arr.shape[2] in (1, 3):
-        return np.moveaxis(arr, 2, 0)
-    raise ValueError("expected HxW or HxWxC pixels, got shape %r" % (arr.shape,))
+    if arr.ndim != 2:
+        raise ValueError("expected HxW grayscale pixels, got shape %r"
+                         % (arr.shape,))
+    return arr.astype(np.float64)
 
 
 def _histogram_descriptor(pixels):
-    """Per channel: 16-bin intensity counts + 8-bin gradient-orientation
-    counts, concatenated over channels and L2-normalized.
+    """16-bin intensity counts + 8-bin gradient-orientation counts,
+    concatenated and L2-normalized.
 
     Orientations are unweighted votes; a flat patch has zero gradient
     everywhere, atan2(0, 0) = 0, so all its orientation mass lands in the
     bin containing angle zero.
     """
-    chans = _as_channels(pixels).astype(np.float64)
-    parts = []
-    for ch in chans:
-        ih, _ = np.histogram(ch, bins=INTENSITY_BINS, range=(0.0, 256.0))
-        gy, gx = np.gradient(ch)
-        theta = np.arctan2(gy, gx)
-        idx = np.clip(((theta + np.pi) / (2.0 * np.pi) * ORIENTATION_BINS)
-                      .astype(int), 0, ORIENTATION_BINS - 1)
-        oh = np.bincount(idx.reshape(-1), minlength=ORIENTATION_BINS)
-        parts.append(np.concatenate([ih, oh]).astype(np.float64))
-    desc = np.concatenate(parts)
+    img = _grayscale(pixels)
+    ih, _ = np.histogram(img, bins=INTENSITY_BINS, range=(0.0, 256.0))
+    gy, gx = np.gradient(img)
+    theta = np.arctan2(gy, gx)
+    idx = np.clip(((theta + np.pi) / (2.0 * np.pi) * ORIENTATION_BINS)
+                  .astype(int), 0, ORIENTATION_BINS - 1)
+    oh = np.bincount(idx.reshape(-1), minlength=ORIENTATION_BINS)
+    desc = np.concatenate([ih, oh]).astype(np.float64)
     return desc / np.linalg.norm(desc)
 
 
@@ -108,21 +99,14 @@ def extract_fixed(patch, params):
     """Histogram descriptor through the seeded projection; constant output."""
     proj = params.tensors["projection"].data
     desc = _histogram_descriptor(patch.pixels)
-    if proj.shape[1] != desc.size:
-        raise ValueError("projection expects %d-d descriptor, patch gives %d"
-                         % (proj.shape[1], desc.size))
     return ad.constant(proj @ desc)
 
 
 def extract_conv(patch, params):
     """Conv stack -> global average pool -> linear head, differentiable."""
-    chans = _as_channels(patch.pixels).astype(np.float64) / 255.0
-    x = ad.constant(chans)
+    x = ad.constant(_grayscale(patch.pixels)[None] / 255.0)
     for block in ("conv1", "conv2", "conv3"):
         w = params.tensors[block + ".w"]
-        if block == "conv1" and w.data.shape[1] != chans.shape[0]:
-            raise ValueError("featurizer expects %d channel(s), patch has %d"
-                             % (w.data.shape[1], chans.shape[0]))
         x = ad.relu(ad.conv2d(x, w, params.tensors[block + ".b"],
                               stride=2, padding=1))
     c = x.data.shape[0]

@@ -37,13 +37,6 @@ class GnnParams:
     tensors: dict  # name -> Tensor
     heads: int = DEFAULT_HEADS
 
-    def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError("unknown architecture %r" % self.architecture)
-        if self.architecture == "gat" and self.n % self.heads != 0:
-            raise ValueError("embedding dim %d not divisible by %d heads"
-                             % (self.n, self.heads))
-
     def trainable(self):
         return [t for t in self.tensors.values() if t.requires_grad]
 
@@ -85,7 +78,6 @@ def init_gnn(architecture, n, seed, heads=DEFAULT_HEADS):
                 unif("layer%d.head%d.w" % (layer, h), (n, dh), n)
                 unif("layer%d.head%d.al" % (layer, h), (dh,), n)
                 unif("layer%d.head%d.ar" % (layer, h), (dh,), n)
-    # GnnParams rejects an unknown architecture or indivisible heads
     return GnnParams(architecture, n, tensors, heads=heads)
 
 
@@ -167,8 +159,6 @@ def embed_graph(node_features, params, pool="mean"):
     if len(shape) not in (2, 3) or shape[-2] < 1:
         raise ValueError("node features must be (V, n) or (B, V, n) with "
                          "at least one vertex, got shape %r" % (shape,))
-    if pool not in ("mean", "max"):
-        raise ValueError("unknown pooling %r" % pool)
     x = node_features
     for layer in range(1, NUM_LAYERS + 1):
         x = _run_layer(x, params, layer)

@@ -26,14 +26,15 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from .config import SCHEMA, ConfigError, model_problems
 from .features import FeaturizerParams, featurize, init_featurizer
 from .gnn import GnnParams, embed_graph, init_gnn
-from .neighbors import DEFAULT_K, graph_for_patch
+from .neighbors import graph_for_patch
 from .seeds import rng_for
 
 SCORE_CLAMP = (1e-7, 1.0 - 1e-7)
@@ -41,22 +42,31 @@ PAIRINGS = ("f_f", "rho_rho", "phi_phi", "psi_psi", "phi_psi")
 DISCRIMINATORS = ("bilinear", "cosine", "l2")
 
 
+def _config_key(field):
+    return "model.arch" if field == "architecture" else "model." + field
+
+
 @dataclass
 class ModelConfig:
-    n: int = 32
-    k: int = DEFAULT_K
-    gamma: float = 0.5
-    featurizer: str = "fixed_hist"
-    architecture: str = "gat"
-    heads: int = 4
-    pool: str = "mean"
-    channels: int = 1
+    """Each field is the ``model.*`` config key of its name (``architecture``
+    is ``model.arch``), checked against config.SCHEMA."""
+    n: int = SCHEMA["model.n"][0]
+    k: int = SCHEMA["model.k"][0]
+    gamma: float = SCHEMA["model.gamma"][0]
+    featurizer: str = SCHEMA["model.featurizer"][0]
+    architecture: str = SCHEMA["model.arch"][0]
+    heads: int = SCHEMA["model.heads"][0]
+    pool: str = SCHEMA["model.pool"][0]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("embedding dim must be positive")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("decision threshold must lie in [0, 1]")
+        problems = model_problems({_config_key(f): v
+                                   for f, v in vars(self).items()})
+        if problems:
+            raise ConfigError(problems)
+
+    @classmethod
+    def from_config(cls, cfg):
+        return cls(**{f.name: cfg[_config_key(f.name)] for f in fields(cls)})
 
 
 @dataclass
@@ -134,8 +144,7 @@ class MatchModel:
 
 def init_model(config, seed):
     return MatchModel(
-        featurizer=init_featurizer(config.featurizer, config.n, seed,
-                                   channels=config.channels),
+        featurizer=init_featurizer(config.featurizer, config.n, seed),
         gnn=init_gnn(config.architecture, config.n, seed, heads=config.heads),
         disc=init_discriminator(config.n, seed),
         config=config,
@@ -163,14 +172,18 @@ def save_model(path, model):
 
 def load_model(path):
     with open(str(path) + ".config.json") as fh:
-        fields = json.load(fh)
-    if not isinstance(fields, dict):
+        entries = json.load(fh)
+    if not isinstance(entries, dict):
         raise ValueError("checkpoint config is not a JSON object")
-    unknown = sorted(set(fields) - set(vars(ModelConfig())))
-    if unknown:
-        raise ValueError("checkpoint config has unknown keys: %s"
-                         % ", ".join(unknown))
-    config = ModelConfig(**fields)
+    if entries.get("channels") == 1:  # older checkpoints carry it
+        del entries["channels"]
+    names = {f.name for f in fields(ModelConfig)}
+    for what, keys in (("unknown", set(entries) - names),
+                       ("missing", names - set(entries))):
+        if keys:
+            raise ValueError("checkpoint config has %s keys: %s"
+                             % (what, ", ".join(sorted(keys))))
+    config = ModelConfig(**entries)
     model = init_model(config, seed=0)
     stored = ad.load_named_tensors(path)
     expected = model.named_tensors()
@@ -566,6 +579,12 @@ class TrainConfig:
     batch_size: int = 16
     seed: int = 0
     balance: bool = True
+
+    @classmethod
+    def from_config(cls, cfg, seed):
+        return cls(epochs=cfg["train.epochs"], lr=cfg["train.lr"],
+                   batch_size=cfg["train.batch"], seed=seed,
+                   balance=cfg["train.balance"])
 
 
 def _balanced_order(rows, rng, balance):

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,7 @@ class Patch:
     patch_id: str
     frame_id: str
     bbox: tuple                     # (u0, v0, u1, v1), pixels, floats
-    pixels: np.ndarray              # 8-bit grayscale or RGB block
+    pixels: np.ndarray              # 8-bit grayscale block, HxW
     loc3d: np.ndarray = None        # estimated 3D location, meters
     loc_is_world: bool = True
     landmark_id: str = None
@@ -352,58 +353,42 @@ def ground_truth_pairs(frame_a, frame_b, tau_match=1.0, max_pairs=None, rng=None
     return entries, disagreements
 
 
-# -- PGM / PPM ---------------------------------------------------------------
+# -- PGM ---------------------------------------------------------------------
 
 def write_image(path, pixels):
-    """Binary PGM (grayscale) or PPM (RGB) with maxval 255."""
+    """Binary PGM (P5) of HxW grayscale pixels with maxval 255."""
     arr = np.asarray(pixels, dtype=np.uint8)
-    if arr.ndim == 2:
-        magic, h, w = b"P5", arr.shape[0], arr.shape[1]
-    elif arr.ndim == 3 and arr.shape[2] == 3:
-        magic, h, w = b"P6", arr.shape[0], arr.shape[1]
-    else:
-        raise ValueError("expected HxW or HxWx3 8-bit pixels")
+    if arr.ndim != 2:
+        raise ValueError("expected HxW 8-bit grayscale pixels")
     with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n255\n" % (w, h))
+        fh.write(b"P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
         fh.write(arr.tobytes())
 
 
+# "P5", width, height and maxval, separated by whitespace and "#" comments,
+# then exactly one whitespace byte before the pixels
+_SEP = rb"(?:\s|#[^\n]*\n)+"
+_PGM_HEADER = re.compile(rb"P5%s(\d+)%s(\d+)%s(\d+)\s" % (_SEP, _SEP, _SEP))
+
+
 def read_image(path):
-    """Read a binary PGM (P5) or PPM (P6) file written by write_image or any
-    standard tool (comments allowed in the header)."""
+    """Read a binary PGM (P5) file written by write_image or any standard
+    tool.  Raises ValueError for anything else, including an empty, cut-off
+    or zero-pixel image."""
     with open(path, "rb") as fh:
         data = fh.read()
-
-    def tokens():
-        i = 0
-        while i < len(data):
-            if data[i:i + 1].isspace():
-                i += 1
-            elif data[i:i + 1] == b"#":
-                while i < len(data) and data[i:i + 1] != b"\n":
-                    i += 1
-            else:
-                j = i
-                while j < len(data) and not data[j:j + 1].isspace():
-                    j += 1
-                yield data[i:j], j
-                i = j
-
-    it = tokens()
-    magic, _ = next(it)
-    if magic not in (b"P5", b"P6"):
-        raise ValueError("unsupported image magic %r" % magic)
-    (w, _), (h, _), (maxval, pos) = (next(it) for _ in range(3))
-    w, h, maxval = int(w), int(h), int(maxval)
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ValueError("no binary PGM (P5) header")
+    w, h, maxval = (int(g) for g in header.groups())
     if maxval != 255:
         raise ValueError("only maxval 255 supported")
-    raw = data[pos + 1:]  # exactly one whitespace byte after maxval
-    channels = 1 if magic == b"P5" else 3
-    need = w * h * channels
-    if len(raw) < need:
+    if w < 1 or h < 1:
+        raise ValueError("image is %d x %d pixels" % (w, h))
+    raw = data[header.end():]
+    if len(raw) < w * h:
         raise ValueError("truncated pixel data")
-    arr = np.frombuffer(raw[:need], dtype=np.uint8)
-    return arr.reshape((h, w) if channels == 1 else (h, w, 3)).copy()
+    return np.frombuffer(raw[:w * h], dtype=np.uint8).reshape(h, w).copy()
 
 
 # -- manifest save / load ----------------------------------------------------
@@ -415,7 +400,7 @@ def _sha256(path):
 
 def save_dataset(out_dir, frames, pairs=None):
     """Write frames to ``out_dir``: manifest.jsonl, an images/ directory of
-    PGM/PPM files, and pairs.csv when a PairDataset is given."""
+    PGM files, and pairs.csv when a PairDataset is given."""
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
     with open(manifest_path, "w") as fh:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -25,6 +26,34 @@ def read_csv(path):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def edited_checkpoint(workspace, tmp_path, config):
+    """A copy of the workspace checkpoint whose config sidecar is
+    ``config``."""
+    ckpt = str(tmp_path / "model.json")
+    with open(workspace["checkpoint"]) as src, open(ckpt, "w") as dst:
+        dst.write(src.read())
+    with open(ckpt + ".config.json", "w") as fh:
+        json.dump(config, fh)
+    return ckpt
+
+
+def replace_image(data, patch_id, content):
+    """Overwrite one patch's image file with ``content`` and update its
+    manifest checksum, so that loading reaches the image reader."""
+    rel = "images/%s.pgm" % patch_id.replace("/", "_")
+    with open(os.path.join(data, rel), "wb") as fh:
+        fh.write(content)
+    manifest = os.path.join(data, "manifest.jsonl")
+    with open(manifest) as fh:
+        frames = [json.loads(line) for line in fh]
+    for frame in frames:
+        for rec in frame["patches"]:
+            if rec["patch_id"] == patch_id:
+                rec["sha256"] = hashlib.sha256(content).hexdigest()
+    with open(manifest, "w") as fh:
+        fh.writelines(json.dumps(frame) + "\n" for frame in frames)
 
 
 @pytest.fixture(scope="module")
@@ -354,15 +383,11 @@ class TestErrors:
                                                ("list", "not a JSON object")])
     def test_unknown_checkpoint_config_key_exits_1(self, workspace, tmp_path,
                                                    capsys, sidecar, named):
-        ckpt = str(tmp_path / "model.json")
-        with open(workspace["checkpoint"]) as src, open(ckpt, "w") as dst:
-            dst.write(src.read())
         config = read_json(workspace["checkpoint"] + ".config.json")
         config["dropout"] = 0.1
         if sidecar == "list":
             config = sorted(config)
-        with open(ckpt + ".config.json", "w") as fh:
-            json.dump(config, fh)
+        ckpt = edited_checkpoint(workspace, tmp_path, config)
         capsys.readouterr()
         rc = main(["eval", "--data", workspace["data"], "--checkpoint", ckpt,
                    "--out", str(tmp_path / "ev")])
@@ -370,6 +395,71 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert named in err
+
+    @pytest.mark.parametrize("edit,named", [
+        pytest.param({"k": "5"}, "model.k", id="k_str"),
+        pytest.param({"k": -1}, "model.k", id="k_negative"),
+        pytest.param({"k": 0}, "model.k", id="k_zero"),
+        pytest.param({"n": 8.0}, "model.n", id="n_float"),
+        pytest.param({"gamma": "0.5"}, "model.gamma", id="gamma_str"),
+        pytest.param({"gamma": True}, "model.gamma", id="gamma_bool"),
+        pytest.param({"heads": 0}, "model.heads", id="heads_zero"),
+        pytest.param({"pool": "sum"}, "model.pool", id="pool_sum"),
+        pytest.param({"architecture": "mlp"}, "model.arch", id="arch_mlp"),
+        pytest.param({"featurizer": "resnet"}, "model.featurizer",
+                     id="featurizer_resnet"),
+        pytest.param({"architecture": "gat", "heads": 3, "n": 8},
+                     "model.heads", id="gat_heads_not_dividing_n"),
+        pytest.param({"channels": 3}, "channels", id="channels_3"),
+        pytest.param({"k": None}, "missing keys: k", id="k_missing"),
+    ])
+    def test_bad_checkpoint_config_value_exits_1(self, workspace, tmp_path,
+                                                 capsys, edit, named):
+        config = read_json(workspace["checkpoint"] + ".config.json")
+        config.update(edit)
+        if config["k"] is None:  # the k_missing case
+            del config["k"]
+        ckpt = edited_checkpoint(workspace, tmp_path, config)
+        capsys.readouterr()
+        rc = main(["eval", "--data", workspace["data"], "--checkpoint", ckpt,
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert named in err
+
+    def test_grayscale_channels_entry_still_loads(self, workspace, tmp_path):
+        # checkpoints written before patches were grayscale-only carry
+        # "channels": 1
+        config = read_json(workspace["checkpoint"] + ".config.json")
+        assert "channels" not in config
+        config["channels"] = 1
+        ckpt = edited_checkpoint(workspace, tmp_path, config)
+        outputs = []
+        for checkpoint, out in ((ckpt, "old"), (workspace["checkpoint"], "new")):
+            assert main(["eval", "--data", workspace["data"], "--checkpoint",
+                         checkpoint, "--out", str(tmp_path / out)]) == 0
+            outputs.append(open(str(tmp_path / out / "eval_pairs.csv")).read())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("image", [b"P6\n2 2\n255\n" + bytes(12),
+                                       b"P5\n3 2\n"],
+                             ids=["rgb", "header_cut_before_maxval"])
+    def test_unreadable_patch_image_is_a_warning(self, tmp_path, capsys,
+                                                 image):
+        data = tmp_path / "data"
+        assert main(["synth", "--seed", "3", "--out", str(data)]
+                    + TINY_SYNTH) == 0
+        _, pairs = read_csv(str(data / "pairs.csv"))
+        bad = pairs[0][0]
+        replace_image(str(data), bad, image)
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out",
+                     str(tmp_path / "run")]
+                    + TINY_MODEL + TINY_TRAIN) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:") and bad in line]
+        assert any("unreadable image" in line for line in warnings)
 
     def test_failed_report_write_keeps_previous_report(self, tmp_path,
                                                        monkeypatch):

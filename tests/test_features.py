@@ -3,7 +3,6 @@ import pytest
 
 import patchgraph.autodiff as ad
 from patchgraph.features import (
-    FeaturizerParams,
     INTENSITY_BINS,
     ORIENTATION_BINS,
     _histogram_descriptor,
@@ -12,6 +11,7 @@ from patchgraph.features import (
     featurize,
     init_featurizer,
 )
+from patchgraph.matching import ModelConfig
 from patchgraph.scene import Patch
 
 
@@ -48,12 +48,6 @@ class TestHistogramDescriptor:
             desc = _histogram_descriptor(
                 rng.integers(0, 256, size=(32, 32), dtype=np.uint8))
             assert abs(np.linalg.norm(desc) - 1.0) < 1e-12
-
-    def test_rgb_descriptor_length(self):
-        rng = np.random.default_rng(1)
-        desc = _histogram_descriptor(
-            rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8))
-        assert desc.size == 3 * (INTENSITY_BINS + ORIENTATION_BINS)
 
     def test_empty_patch_rejected(self):
         with pytest.raises(ValueError):
@@ -101,10 +95,12 @@ class TestFixedVariant:
             assert np.all(np.isfinite(vec.data))
 
     def test_channel_mismatch_rejected(self):
+        # patches are grayscale: H x W x 3 pixels fail in either variant
         rng = np.random.default_rng(4)
-        params = init_featurizer("fixed_hist", 32, 0, channels=1)
-        with pytest.raises(ValueError):
-            extract_fixed(random_patch(rng, channels=3), params)
+        for variant in ("fixed_hist", "tiny_conv"):
+            params = init_featurizer(variant, 32, 0)
+            with pytest.raises(ValueError):
+                featurize(random_patch(rng, channels=3), params)
 
 
 class TestConvVariant:
@@ -196,9 +192,7 @@ class TestDispatch:
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            init_featurizer("resnet", 32, 0)
-        with pytest.raises(ValueError):
-            FeaturizerParams("resnet", 32, {})
+            ModelConfig(n=32, featurizer="resnet")
 
     def test_checkpoint_namespace(self):
         params = init_featurizer("tiny_conv", 8, 0)

@@ -6,7 +6,6 @@ import pytest
 
 import patchgraph.autodiff as ad
 from patchgraph.gnn import (
-    GnnParams,
     GraphEmbeddings,
     embed_graph,
     gat_attention,
@@ -15,6 +14,7 @@ from patchgraph.gnn import (
     init_gnn,
     sage_layer,
 )
+from patchgraph.matching import ModelConfig
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "gnn_clique.json"
 
@@ -190,9 +190,8 @@ class TestEmbedGraph:
                 embed_graph(ad.constant(np.zeros(shape)), params)
 
     def test_unknown_pool_rejected(self):
-        params = init_gnn("gcn", 4, seed=5)
         with pytest.raises(ValueError):
-            embed_graph(ad.constant(np.zeros((2, 4))), params, pool="sum")
+            ModelConfig(n=4, architecture="gcn", pool="sum")
 
     def test_non_finite_embeddings_rejected(self):
         with pytest.raises(ValueError):
@@ -214,16 +213,56 @@ class TestEmbedGraph:
                                        atol=1e-12)
 
 
+class TestCliqueCentreCollapse:
+    """On a clique, GCN gives every vertex the same row, and so does GAT
+    when every attention score s_i + t_j is positive: the centre's vertex
+    embedding rho then equals the pooled graph embedding g.  SAGE keeps
+    the centre apart through its own-feature half."""
+
+    @staticmethod
+    def cliques(arch, nonnegative=False):
+        rng = np.random.default_rng({"gcn": 40, "gat": 41, "sage": 42}[arch])
+        for seed in range(50):
+            shape = (int(rng.integers(2, 7)), 8)
+            x = rng.random(shape) if nonnegative else rng.standard_normal(shape)
+            params = init_gnn(arch, 8, seed=seed)
+            if nonnegative:
+                for t in params.tensors.values():
+                    t.data = np.abs(t.data)
+            yield ad.constant(x), params
+
+    def test_gcn_max_pool_centre_is_graph_bit_for_bit(self):
+        for x, params in self.cliques("gcn"):
+            emb = embed_graph(x, params, pool="max")
+            assert np.array_equal(emb.center().data, emb.graph.data)
+
+    def test_gcn_mean_pool_centre_is_graph(self):
+        for x, params in self.cliques("gcn"):
+            emb = embed_graph(x, params, pool="mean")
+            np.testing.assert_allclose(emb.center().data, emb.graph.data,
+                                       rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("pool", ["mean", "max"])
+    def test_gat_positive_scores_centre_is_graph(self, pool):
+        for x, params in self.cliques("gat", nonnegative=True):
+            emb = embed_graph(x, params, pool=pool)
+            np.testing.assert_allclose(emb.center().data, emb.graph.data,
+                                       rtol=0, atol=1e-15)
+
+    def test_sage_centre_stays_apart(self):
+        for x, params in self.cliques("sage"):
+            emb = embed_graph(x, params)
+            assert np.max(np.abs(emb.center().data - emb.graph.data)) > 1e-3
+
+
 class TestParams:
     def test_head_divisibility_enforced(self):
         with pytest.raises(ValueError):
-            init_gnn("gat", 6, seed=0, heads=4)
-        with pytest.raises(ValueError):
-            GnnParams("gat", 6, {}, heads=4)
+            ModelConfig(n=6, architecture="gat", heads=4)
 
     def test_unknown_architecture_rejected(self):
         with pytest.raises(ValueError):
-            init_gnn("transformer", 8, seed=0)
+            ModelConfig(n=8, architecture="transformer")
 
     def test_init_deterministic_per_seed(self):
         a = init_gnn("gat", 8, seed=9)

@@ -32,6 +32,7 @@ from patchgraph.matching import (
     save_model,
     train,
 )
+from patchgraph.config import SCHEMA, ConfigError, default_config
 from patchgraph.scene import Frame, Patch, PairEntry, standard_camera
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "matcher_case.json"
@@ -574,6 +575,34 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             MatchModel(model.featurizer, model.gnn,
                        init_discriminator(8, seed=0), model.config)
+
+
+class TestModelConfig:
+    def test_defaults_come_from_the_schema(self):
+        assert ModelConfig.from_config(default_config()) == ModelConfig()
+
+    def test_model_keys_and_fields_map_one_to_one(self):
+        # a non-default value for every model.* key changes one field each
+        other = {"model.n": 16, "model.k": 3, "model.gamma": 0.25,
+                 "model.featurizer": "tiny_conv", "model.arch": "gcn",
+                 "model.heads": 2, "model.pool": "max"}
+        assert sorted(other) == sorted(k for k in SCHEMA
+                                       if k.startswith("model."))
+        base = vars(ModelConfig())
+        changed = []
+        for key, value in other.items():
+            got = vars(ModelConfig.from_config(dict(default_config(),
+                                                    **{key: value})))
+            changed += [f for f in got if got[f] != base[f]]
+        assert sorted(changed) == sorted(base)
+
+    def test_every_problem_is_listed(self):
+        with pytest.raises(ConfigError) as exc:
+            ModelConfig(k=0, gamma=2.0, pool="sum")
+        assert len(exc.value.problems) == 3
+
+    def test_float_field_takes_an_int(self):
+        assert ModelConfig(gamma=1).gamma == 1
 
 
 class TestGolden:

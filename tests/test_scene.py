@@ -264,12 +264,25 @@ def test_pgm_round_trip(tmp_path):
     np.testing.assert_array_equal(sc.read_image(path), img)
 
 
-def test_ppm_round_trip(tmp_path):
+def test_rgb_image_rejected(tmp_path):
     rng = np.random.default_rng(2)
     img = rng.integers(0, 256, size=(4, 6, 3), dtype=np.uint8)
+    with pytest.raises(ValueError):
+        sc.write_image(tmp_path / "x.pgm", img)
     path = tmp_path / "x.ppm"
-    sc.write_image(path, img)
-    np.testing.assert_array_equal(sc.read_image(path), img)
+    path.write_bytes(b"P6\n6 4\n255\n" + img.tobytes())
+    with pytest.raises(ValueError):
+        sc.read_image(path)
+
+
+@pytest.mark.parametrize("data", [b"", b"P5\n3 2\n", b"P5\n0 0\n255\n"],
+                         ids=["empty", "header_cut_before_maxval",
+                              "zero_pixels"])
+def test_malformed_pgm_rejected(tmp_path, data):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError):
+        sc.read_image(path)
 
 
 def test_read_image_with_comment_header(tmp_path):

@@ -1,0 +1,54 @@
+#!/bin/sh
+# Run every patchgraph command on a small synthetic dataset with the
+# package of the source tree SRC, writing every output under OUT, which
+# must not exist yet.  Commands' stdout and stderr, and their exit
+# statuses, go to OUT/log.txt.
+#
+# Comparing two trees this way checks that a change keeps every CLI output
+# byte-identical:
+#
+#   git archive HEAD~1 | tar -x -C ../parent
+#   tools/cli_outputs.sh ../parent ../out-parent
+#   tools/cli_outputs.sh . ../out-change
+#   diff -r ../out-parent ../out-change
+#
+# The commands run inside OUT with relative paths, so the paths that
+# reports and log lines record (train_report.json's checkpoint) agree
+# between the two trees.
+set -eu
+if [ $# -ne 2 ]; then
+    echo "usage: $0 SRC OUT" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd)/src
+mkdir "$2"
+cd "$2"
+
+pg() {
+    echo "+ patchgraph $*" >> log.txt
+    status=0
+    PYTHONPATH="$src" PYTHONDONTWRITEBYTECODE=1 \
+        python3 -m patchgraph.cli "$@" >> log.txt 2>&1 || status=$?
+    echo "exit $status" >> log.txt
+}
+
+small="--set train.epochs=3 --set model.n=16"
+pg synth --seed 5 --set synth.scenes=4 --out data
+for arch in gcn gat sage; do
+    for pool in mean max; do
+        run=$arch-$pool
+        ckpt=$run/train/model.json
+        pg train --data data --out "$run/train" $small \
+            --set model.arch=$arch --set model.pool=$pool
+        pg eval --data data --checkpoint "$ckpt" --out "$run/eval"
+        pg match --data data --checkpoint "$ckpt" --frame-a s000/a \
+            --frame-b s001/b --out "$run/match"
+        pg place --data data --checkpoint "$ckpt" --out "$run/place"
+        pg stereo --checkpoint "$ckpt" --out "$run/stereo"
+    done
+done
+pg train --data data --out tiny_conv/train $small \
+    --set model.featurizer=tiny_conv
+pg eval --data data --checkpoint tiny_conv/train/model.json \
+    --out tiny_conv/eval
+pg ablate --data data --out ablate $small
