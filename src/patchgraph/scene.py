@@ -79,24 +79,40 @@ class CameraModel:
         return np.asarray(point, dtype=np.float64) - self.position
 
 
+def _point(value, what):
+    """``value`` as a finite float64 3-vector, else ValueError."""
+    try:
+        point = np.asarray(value, dtype=np.float64)
+        if point.shape == (3,) and np.isfinite(point).all():
+            return point
+    except (TypeError, ValueError):
+        pass
+    raise ValueError("%s %r is not a finite 3-vector" % (what, value))
+
+
 @dataclass
 class Patch:
     patch_id: str
     frame_id: str
     bbox: tuple                     # (u0, v0, u1, v1), pixels, floats
     pixels: np.ndarray              # 8-bit grayscale block, HxW
-    loc3d: np.ndarray = None        # estimated 3D location, meters
-    loc_is_world: bool = True
+    loc3d: np.ndarray               # estimated 3D location, meters
     landmark_id: str = None
     feature: np.ndarray = None      # optional precomputed descriptor bypass
 
     def __post_init__(self):
-        u0, v0, u1, v1 = self.bbox
-        if not (u0 < u1 and v0 < v1):
-            raise ValueError("degenerate bounding box %r" % (self.bbox,))
+        if not isinstance(self.patch_id, str):
+            raise TypeError("patch id %r is not a string" % (self.patch_id,))
+        try:
+            bbox = tuple(float(b) for b in self.bbox)
+        except (TypeError, ValueError):
+            bbox = ()
+        if len(bbox) != 4 or not (bbox[0] < bbox[2] and bbox[1] < bbox[3]):
+            raise ValueError("patch %s: degenerate bbox %r"
+                             % (self.patch_id, self.bbox))
+        self.bbox = bbox
         self.pixels = np.asarray(self.pixels, dtype=np.uint8)
-        if self.loc3d is not None:
-            self.loc3d = np.asarray(self.loc3d, dtype=np.float64)
+        self.loc3d = _point(self.loc3d, "patch %s: loc3d" % self.patch_id)
 
 
 @dataclass
@@ -107,7 +123,10 @@ class Frame:
     patches: list
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=np.float64)
+        if not isinstance(self.frame_id, str):
+            raise TypeError("frame id %r is not a string" % (self.frame_id,))
+        self.position = _point(self.position,
+                               "frame %s: position" % self.frame_id)
         for p in self.patches:
             if p.frame_id != self.frame_id:
                 raise ValueError("patch %s carries frame id %r, expected %r"
@@ -124,11 +143,6 @@ class PairEntry:
 @dataclass
 class PairDataset:
     entries: list
-
-    def __post_init__(self):
-        for e in self.entries:
-            if e.label not in (0, 1):
-                raise ValueError("labels must be 0 or 1")
 
 
 @dataclass
@@ -307,7 +321,6 @@ def render_views(scene, camera_a, camera_b, noise, seed, frame_ids=None):
                 bbox=bbox,
                 pixels=pixels,
                 loc3d=lm.position + loc_noise,
-                loc_is_world=True,
                 landmark_id=lm.landmark_id,
             ))
         frames.append(Frame(frame_id=frame_id, camera=camera,
@@ -325,9 +338,6 @@ def ground_truth_pairs(frame_a, frame_b, tau_match=1.0, max_pairs=None, rng=None
 
     Returns (entries, disagreements).
     """
-    for p in list(frame_a.patches) + list(frame_b.patches):
-        if p.loc3d is None:
-            raise ValueError("patch %s has no 3D location" % p.patch_id)
     entries = []
     disagreements = []
     for pa in frame_a.patches:
@@ -418,8 +428,6 @@ def save_dataset(out_dir, frames, pairs=None):
                     "loc3d": [float(x) for x in p.loc3d],
                     "sha256": _sha256(img_path),
                 }
-                if not p.loc_is_world:
-                    rec["loc_frame"] = "camera"
                 if p.landmark_id is not None:
                     rec["landmark_id"] = p.landmark_id
                 patch_records.append(rec)
@@ -449,45 +457,54 @@ class LoadedDataset:
 def load_dataset(manifest_path, pairs_path=None):
     """Read a manifest written by save_dataset (or prepared externally).
 
-    Malformed records are skipped and reported in ``diagnostics`` as
-    "record N: reason", and pairs.csv rows that name a patch not loaded or
-    carry a label other than 0 or 1 as "pairs row N: reason"; loading never
-    raises for per-record problems.
+    Malformed frame and patch records and repeated ids are skipped and
+    reported in ``diagnostics`` as "record N: reason", and pairs.csv rows
+    that name a patch not loaded or carry a label other than 0 or 1 as
+    "pairs row N: reason"; loading never raises for per-record problems.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     frames = []
     diagnostics = []
+    seen_frame_ids = set()
     seen_patch_ids = set()
     with open(manifest_path) as fh:
         for idx, line in enumerate(fh):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                diagnostics.append("record %d: invalid JSON (%s)" % (idx, exc))
-                continue
-            try:
-                cam_rec = rec["camera"]
+                cam = rec["camera"]
                 camera = CameraModel(
-                    fx=float(cam_rec["fx"]), fy=float(cam_rec["fy"]),
-                    cx=float(cam_rec["cx"]), cy=float(cam_rec["cy"]),
-                    width=int(cam_rec["W"]), height=int(cam_rec["H"]),
-                    position=np.asarray(rec["position"], dtype=np.float64),
-                )
-                frame_id = rec["frame_id"]
+                    fx=float(cam["fx"]), fy=float(cam["fy"]),
+                    cx=float(cam["cx"]), cy=float(cam["cy"]),
+                    width=int(cam["W"]), height=int(cam["H"]),
+                    position=rec["position"])
+                frame = Frame(rec["frame_id"], camera, rec["position"], [])
+                patch_recs = list(rec.get("patches", []))
             except (KeyError, TypeError, ValueError) as exc:
-                diagnostics.append("record %d: malformed frame (%s)" % (idx, exc))
+                diagnostics.append("record %d: malformed frame (%s)"
+                                   % (idx, exc))
                 continue
-            patches = []
-            for p_rec in rec.get("patches", []):
-                err = _load_patch(base, frame_id, p_rec, patches, seen_patch_ids)
-                if err:
-                    diagnostics.append("record %d: %s" % (idx, err))
-            frames.append(Frame(frame_id=frame_id, camera=camera,
-                                position=np.asarray(rec["position"]),
-                                patches=patches))
+            if frame.frame_id in seen_frame_ids:
+                diagnostics.append("record %d: frame %s: duplicate frame id"
+                                   % (idx, frame.frame_id))
+                continue
+            seen_frame_ids.add(frame.frame_id)
+            for p_rec in patch_recs:
+                try:
+                    patch = _load_patch(base, frame.frame_id, p_rec)
+                    if patch.patch_id in seen_patch_ids:
+                        raise ValueError("patch %s: duplicate patch id"
+                                         % patch.patch_id)
+                except (KeyError, TypeError, ValueError) as exc:
+                    if not isinstance(exc, ValueError):  # no patch named
+                        exc = "malformed patch record (%s: %s)" % (
+                            type(exc).__name__, exc)
+                    diagnostics.append("record %d: %s" % (idx, exc))
+                    continue
+                seen_patch_ids.add(patch.patch_id)
+                frame.patches.append(patch)
+            frames.append(frame)
     entries = []
     if pairs_path is None:
         candidate = os.path.join(base, "pairs.csv")
@@ -510,35 +527,22 @@ def load_dataset(manifest_path, pairs_path=None):
                          diagnostics=diagnostics)
 
 
-def _load_patch(base, frame_id, p_rec, patches, seen_patch_ids):
+def _load_patch(base, frame_id, rec):
+    """The Patch of one manifest record; ``Patch`` checks all but the
+    image, which is named by its manifest-relative path."""
+    patch_id, image = rec["patch_id"], rec["image"]
+    path = os.path.join(base, image)
+    if not os.path.exists(path):
+        raise ValueError("patch %s: missing image %s" % (patch_id, image))
     try:
-        patch_id = p_rec["patch_id"]
-        bbox = tuple(float(b) for b in p_rec["bbox"])
-        image_rel = p_rec["image"]
-    except (KeyError, TypeError, ValueError) as exc:
-        return "malformed patch record (%s)" % exc
-    if len(bbox) != 4 or not (bbox[0] < bbox[2] and bbox[1] < bbox[3]):
-        return "patch %s: degenerate bbox %r" % (patch_id, bbox)
-    if patch_id in seen_patch_ids:
-        return "patch %s: duplicate patch id" % patch_id
-    img_path = os.path.join(base, image_rel)
-    if not os.path.exists(img_path):
-        return "patch %s: missing image %s" % (patch_id, image_rel)
-    if "sha256" in p_rec and _sha256(img_path) != p_rec["sha256"]:
-        return "patch %s: checksum mismatch for %s" % (patch_id, image_rel)
-    try:
-        pixels = read_image(img_path)
-    except ValueError as exc:
-        return "patch %s: unreadable image (%s)" % (patch_id, exc)
-    loc = p_rec.get("loc3d")
-    patches.append(Patch(
-        patch_id=patch_id,
-        frame_id=frame_id,
-        bbox=bbox,
-        pixels=pixels,
-        loc3d=None if loc is None else np.asarray(loc, dtype=np.float64),
-        loc_is_world=p_rec.get("loc_frame", "world") == "world",
-        landmark_id=p_rec.get("landmark_id"),
-    ))
-    seen_patch_ids.add(patch_id)
-    return None
+        digest = _sha256(path) if "sha256" in rec else None
+        pixels = read_image(path)
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ValueError("patch %s: unreadable image %s (%s)"
+                         % (patch_id, image, reason)) from None
+    if digest != rec.get("sha256"):
+        raise ValueError("patch %s: checksum mismatch for %s"
+                         % (patch_id, image))
+    return Patch(patch_id, frame_id, rec.get("bbox"), pixels,
+                 rec.get("loc3d"), rec.get("landmark_id"))

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import patchgraph.autodiff as ad
-from patchgraph.gnn import ARCHITECTURES
 from patchgraph.matching import (
     PAIRINGS,
     SCORE_CLAMP,
@@ -31,6 +30,7 @@ from patchgraph.matching import (
 )
 from patchgraph.scene import Frame, Patch, standard_camera
 
+ARCHITECTURES = ("gcn", "gat", "sage")
 TOL = 1e-12
 
 

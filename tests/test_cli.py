@@ -461,6 +461,35 @@ class TestErrors:
                     if line.startswith("warning:") and bad in line]
         assert any("unreadable image" in line for line in warnings)
 
+    def test_bad_patch_records_are_warnings(self, tmp_path, capsys):
+        # one image path that is a directory and one 2-vector loc3d: train
+        # and place each skip both records with a warning and exit 0
+        data = tmp_path / "data"
+        assert main(["synth", "--seed", "3", "--out", str(data)]
+                    + TINY_SYNTH) == 0
+        manifest = data / "manifest.jsonl"
+        frames = [json.loads(line) for line in manifest.read_text().splitlines()]
+        dir_rec, loc_rec = frames[0]["patches"][0], frames[1]["patches"][0]
+        os.remove(str(data / dir_rec["image"]))
+        os.mkdir(str(data / dir_rec["image"]))
+        loc_rec["loc3d"] = [1, 2]
+        manifest.write_text("".join(json.dumps(f) + "\n" for f in frames))
+        run = tmp_path / "run"
+        commands = [
+            ["train", "--data", str(data), "--out", str(run)]
+            + TINY_MODEL + TINY_TRAIN,
+            ["place", "--data", str(data), "--checkpoint",
+             str(run / "model.json"), "--out", str(tmp_path / "place")]]
+        for args in commands:
+            capsys.readouterr()
+            assert main(args) == 0
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            for record, rec in ((0, dir_rec), (1, loc_rec)):
+                assert any(line.startswith("warning: record %d: patch %s: "
+                                           % (record, rec["patch_id"]))
+                           for line in err.splitlines())
+
     def test_failed_report_write_keeps_previous_report(self, tmp_path,
                                                        monkeypatch):
         out = str(tmp_path / "t")

@@ -43,11 +43,11 @@ def test_knn_fewer_candidates_than_k():
 
 
 def test_knn_missing_location_names_patch():
-    center = _patch("f0/p0", [0, 0, 0])
-    bad = Patch(patch_id="f0/p9", frame_id="f0", bbox=(0, 0, 4, 4),
-                pixels=np.zeros((4, 4), dtype=np.uint8))
+    # a patch without a finite 3D location cannot be built, so every
+    # candidate that reaches knn_neighbors has one
     with pytest.raises(ValueError, match="f0/p9"):
-        nb.knn_neighbors(center, [bad], k=2)
+        Patch(patch_id="f0/p9", frame_id="f0", bbox=(0, 0, 4, 4),
+              pixels=np.zeros((4, 4), dtype=np.uint8), loc3d=None)
 
 
 def test_knn_deterministic():

@@ -193,11 +193,12 @@ class TestPlaceLabels:
         assert same_place_label(fa, fb) == 0
 
     def test_missing_position_rejected(self):
+        # a frame without a finite position cannot be built, so
+        # same_place_label never sees one
         rng = np.random.default_rng(9)
-        fa = make_frame("f0", 1, (0.0, 0.0, 0.0), rng)
-        fb = make_frame("f1", 1, (np.nan, 0.0, 0.0), rng)
-        with pytest.raises(ValueError):
-            same_place_label(fa, fb)
+        make_frame("f0", 1, (0.0, 0.0, 0.0), rng)
+        with pytest.raises(ValueError, match="f1"):
+            make_frame("f1", 1, (np.nan, 0.0, 0.0), rng)
 
 
 class TestThresholdTuning:

@@ -236,11 +236,10 @@ def test_ground_truth_pairs_label_symmetry():
 
 
 def test_ground_truth_pairs_missing_location_raises():
-    fa = _frame("a", [sc.Patch("a/p0", "a", (0, 0, 4, 4),
-                               np.zeros((4, 4), np.uint8))])
-    fb = _frame("b", [_patch("b/p0", "b", [0, 0, 10])], pos=(3, 0, 0))
-    with pytest.raises(ValueError):
-        sc.ground_truth_pairs(fa, fb)
+    # the patch without a location is rejected when it is built, before
+    # ground_truth_pairs can see it
+    with pytest.raises(ValueError, match="a/p0"):
+        sc.Patch("a/p0", "a", (0, 0, 4, 4), np.zeros((4, 4), np.uint8), None)
 
 
 def test_ground_truth_pairs_subsampling():
@@ -312,7 +311,6 @@ def test_dataset_round_trip(tmp_path):
         np.testing.assert_array_equal(p_orig.pixels, p_back.pixels)
         np.testing.assert_allclose(p_orig.loc3d, p_back.loc3d, atol=1e-12)
         assert p_back.landmark_id == p_orig.landmark_id
-        assert p_back.loc_is_world
 
 
 def test_load_dataset_empty_manifest(tmp_path):
@@ -386,3 +384,78 @@ def test_load_dataset_checksum_verified(tmp_path):
     assert loaded.frames[0].patches == []
     assert any("checksum mismatch" in d for d in loaded.diagnostics)
 
+
+# -- one bad manifest record, one diagnostic ------------------------------------
+
+def _set_patch(key, value):
+    def edit(records, root):
+        records[0]["patches"][0][key] = value
+    return edit
+
+
+def _del_patch(key):
+    def edit(records, root):
+        del records[0]["patches"][0][key]
+    return edit
+
+
+def _set_frame(key, value, record=0):
+    def edit(records, root):
+        records[record][key] = value
+    return edit
+
+
+def _image_is_directory(keep_checksum):
+    def edit(records, root):
+        rec = records[0]["patches"][0]
+        path = root / rec["image"]
+        path.unlink()
+        path.mkdir()
+        if not keep_checksum:
+            del rec["sha256"]
+    return edit
+
+
+def _repeat_frame_id(records, root):
+    records[1]["frame_id"] = records[0]["frame_id"]
+
+
+# (edit, index of the bad record, whether the whole frame is dropped)
+BAD_RECORDS = {
+    "loc3d_string": (_set_patch("loc3d", "abc"), 0, False),
+    "loc3d_short": (_set_patch("loc3d", [1, 2]), 0, False),
+    "loc3d_missing": (_del_patch("loc3d"), 0, False),
+    "loc3d_nan": (_set_patch("loc3d", [float("nan"), 0, 0]), 0, False),
+    "patches_not_a_list": (_set_frame("patches", 5), 0, True),
+    "frame_id_list": (_set_frame("frame_id", ["x"]), 0, True),
+    "image_directory": (_image_is_directory(False), 0, False),
+    "image_directory_with_checksum": (_image_is_directory(True), 0, False),
+    "position_nan": (_set_frame("position", [float("nan"), 0, 0]), 0, True),
+    "position_short": (_set_frame("position", [0, 0]), 0, True),
+    "frame_id_repeated": (_repeat_frame_id, 1, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_bad_record_is_one_diagnostic(tmp_path, case):
+    edit, bad, whole_frame = BAD_RECORDS[case]
+    scene = _small_scene(seed=33)
+    noise = sc.NoiseConfig(sigma_loc=0.1, occlusion_prob=0.0)
+    fa, fb = sc.render_views(scene, _cam((0, 1.5, 0)), _cam((4, 1.5, 0)),
+                             noise, 10)
+    manifest = sc.save_dataset(tmp_path, [fa, fb])
+    with open(manifest) as fh:
+        records = [json.loads(line) for line in fh]
+    edit(records, tmp_path)
+    with open(manifest, "w") as fh:
+        fh.writelines(json.dumps(rec) + "\n" for rec in records)
+
+    loaded = sc.load_dataset(manifest)
+    assert len(loaded.diagnostics) == 1
+    assert loaded.diagnostics[0].startswith("record %d: " % bad)
+    good = [f for i, f in enumerate((fa, fb)) if not (whole_frame and i == bad)]
+    assert [f.frame_id for f in loaded.frames] == [f.frame_id for f in good]
+    expected = [p.patch_id for f in good for p in f.patches]
+    if not whole_frame:
+        expected.remove(fa.patches[0].patch_id)
+    assert [p.patch_id for f in loaded.frames for p in f.patches] == expected

@@ -15,6 +15,11 @@
 # The commands run inside OUT with relative paths, so the paths that
 # reports and log lines record (train_report.json's checkpoint) agree
 # between the two trees.
+#
+# The last block runs train and place on data-bad, a copy of the dataset
+# with three bad records (an image path that is a directory, a 2-vector
+# loc3d, a NaN frame position), so the comparison covers the diagnostics
+# path too.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -52,3 +57,20 @@ pg train --data data --out tiny_conv/train $small \
 pg eval --data data --checkpoint tiny_conv/train/model.json \
     --out tiny_conv/eval
 pg ablate --data data --out ablate $small
+
+cp -r data data-bad
+python3 - <<'EOF_BAD'
+import json, os
+path = "data-bad/manifest.jsonl"
+with open(path) as fh:
+    frames = [json.loads(line) for line in fh]
+image = os.path.join("data-bad", frames[0]["patches"][0]["image"])
+os.remove(image)
+os.mkdir(image)
+frames[1]["patches"][0]["loc3d"] = [1, 2]
+frames[2]["position"][0] = float("nan")
+with open(path, "w") as fh:
+    fh.writelines(json.dumps(frame) + "\n" for frame in frames)
+EOF_BAD
+pg train --data data-bad --out bad/train $small
+pg place --data data-bad --checkpoint gat-mean/train/model.json --out bad/place
