@@ -2,9 +2,10 @@
 
 Everything downstream (featurizers, graph layers, the bilinear scorer and its
 loss) is expressed in terms of the primitives here.  Each primitive records
-its parents and a per-parent vector-Jacobian product; ``backward`` replays the
-recorded graph in reverse creation order, which is a valid reverse topological
-order because an operation's output is always created after its inputs.
+its parents and a per-parent vector-Jacobian product; ``gradients`` replays
+the recorded graph in reverse creation order, which is a valid reverse
+topological order because an operation's output is always created after its
+inputs.
 
 All values are 64-bit floats.  Gradient replay is deterministic: the same
 graph built twice yields bit-identical gradients.
@@ -49,11 +50,10 @@ class Tensor:
         Leaf flag; interior nodes derive it from their parents.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps", "_id")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjps", "_id")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._vjps = ()
@@ -69,9 +69,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
 
     def __repr__(self):
         return "Tensor(%r, requires_grad=%r)" % (self.data, self.requires_grad)
@@ -113,17 +110,6 @@ class Tensor:
     def reshape(self, shape):
         return reshape(self, shape)
 
-    def backward(self):
-        """Accumulate d(self)/d(leaf) into ``grad`` of every reachable leaf."""
-        if self.data.size != 1:
-            raise ValueError("backward() requires a scalar output")
-        table = _backprop(self)
-        for node, g in table:
-            if node._parents == () and node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad = node.grad + g
-
 
 def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -148,8 +134,9 @@ def _make(data, parents, vjps):
 
 
 def _backprop(root):
-    """Walk the graph from ``root`` and return [(node, grad)] for every
-    grad-requiring node, in reverse creation order."""
+    """Walk the graph from ``root`` and return {node id: d(root)/d(node)}
+    for every grad-requiring node it reaches, accumulating each node's
+    contributions in reverse creation order."""
     nodes = []
     seen = set()
     stack = [root]
@@ -163,12 +150,10 @@ def _backprop(root):
     nodes.sort(key=lambda n: n._id, reverse=True)
 
     grads = {root._id: np.ones_like(root.data)}
-    out = []
     for n in nodes:
         g = grads.get(n._id)
         if g is None:
             continue
-        out.append((n, g))
         for parent, vjp in zip(n._parents, n._vjps):
             if not parent.requires_grad:
                 continue
@@ -177,7 +162,7 @@ def _backprop(root):
                 grads[parent._id] = grads[parent._id] + contrib
             else:
                 grads[parent._id] = contrib
-    return out
+    return grads
 
 
 def gradients(loss, params):
@@ -187,8 +172,8 @@ def gradients(loss, params):
     """
     if loss.data.size != 1:
         raise ValueError("gradients() requires a scalar loss")
-    table = {id(node): g for node, g in _backprop(loss)}
-    return [table.get(id(p), np.zeros_like(p.data)) for p in params]
+    grads = _backprop(loss)
+    return [grads.get(p._id, np.zeros_like(p.data)) for p in params]
 
 
 # -- arithmetic ----------------------------------------------------------

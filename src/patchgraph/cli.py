@@ -20,6 +20,7 @@ from . import __version__
 from .config import ConfigError, config_hash, load_config
 from .infotheory import run_bound_checks
 from .matching import (
+    PAIRINGS,
     ModelConfig,
     PairCorpus,
     TrainConfig,
@@ -36,9 +37,9 @@ from .placerec import (
     score_matrix,
 )
 from .scene import (
+    LANDMARK_CLASSES,
     Landmark3D,
     NoiseConfig,
-    PairDataset,
     SceneConfig,
     generate_scene,
     ground_truth_pairs,
@@ -119,7 +120,7 @@ def _load_corpus(data_dir):
     loaded = load_dataset(manifest)
     for line in loaded.diagnostics:
         print("warning: %s" % line, file=sys.stderr)
-    corpus = PairCorpus.from_frames(loaded.frames, loaded.pairs.entries)
+    corpus = PairCorpus.from_frames(loaded.frames, loaded.pairs)
     return loaded.frames, corpus
 
 
@@ -132,9 +133,6 @@ class OracleScorer:
                 for px, _, py, _, *_ in rows]
         s = ad.constant(np.where(same, 0.99, 0.01))
         return s, s
-
-    def trainable(self):
-        return []
 
 
 # -- subcommands --------------------------------------------------------------
@@ -170,7 +168,7 @@ def cmd_synth(cfg, seed, out_dir, args):
         disagreements += len(disagree)
         frames.extend([fa, fb])
         entries.extend(pairs)
-    save_dataset(out_dir, frames, PairDataset(entries))
+    save_dataset(out_dir, frames, entries)
     matched = sum(1 for e in entries if e.label == 1)
     _write_report(out_dir, "synth_report.json", {
         "scenes": cfg["synth.scenes"],
@@ -277,7 +275,7 @@ def cmd_ablate(cfg, seed, out_dir, args):
     tc = TrainConfig.from_config(cfg, seed)
     rows = []
     flagship_model = None
-    for pairing in ("phi_psi", "f_f", "rho_rho", "phi_phi", "psi_psi"):
+    for pairing in PAIRINGS:
         model = init_model(ModelConfig.from_config(cfg), seed)
         scorer = VariantScorer(model, pairing, "bilinear", seed=seed)
         train(corpus_train, model, tc, scorer=scorer)
@@ -286,7 +284,7 @@ def cmd_ablate(cfg, seed, out_dir, args):
                      metrics["precision"], metrics["recall"]))
         if pairing == "phi_psi":
             flagship_model = model
-    for pairing in ("phi_psi", "f_f", "rho_rho", "phi_phi", "psi_psi"):
+    for pairing in PAIRINGS:
         for disc in ("cosine", "l2"):
             scorer = VariantScorer(flagship_model, pairing, disc)
             metrics = evaluate(corpus_test, flagship_model, scorer=scorer)
@@ -342,10 +340,9 @@ def cmd_place(cfg, seed, out_dir, args):
 
 def cmd_stereo(cfg, seed, out_dir, args):
     rng = rng_for(seed, "stereo/landmarks")
-    classes = ("traffic_light", "traffic_sign", "pole", "window")
     landmarks = [Landmark3D(
         landmark_id="lm%03d" % i,
-        landmark_class=classes[i % len(classes)],
+        landmark_class=LANDMARK_CLASSES[i % len(LANDMARK_CLASSES)],
         position=np.array([rng.uniform(-6.0, 6.0), rng.uniform(0.5, 4.0),
                            rng.uniform(cfg["stereo.depth_min"],
                                        cfg["stereo.depth_max"])]),

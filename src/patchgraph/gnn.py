@@ -81,20 +81,15 @@ def init_gnn(architecture, n, seed, heads=DEFAULT_HEADS):
     return GnnParams(architecture, n, tensors, heads=heads)
 
 
-def _clique_edges(x):
-    """Edge matrix of the clique over the V vertex rows of ``x``: every
-    vertex joined to every other, no self-loops."""
-    v = x.data.shape[-2]
-    return np.ones((v, v)) - np.eye(v)
-
-
 def gcn_layer(x, w, activation=ad.relu):
     """act(Ahat @ X @ W) with Ahat the symmetrically normalized clique
-    including self-loops; self-loops keep a lone vertex well-defined."""
-    edges = _clique_edges(x)
-    a_tilde = edges + np.eye(edges.shape[0])
-    d_inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    a_hat = a_tilde * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+    including self-loops; self-loops keep a lone vertex well-defined.  With
+    self-loops every vertex of a V-clique has degree V, so every entry of
+    Ahat is (1/sqrt(V))^2, squared rather than written 1/V, which can differ
+    in the last bit."""
+    v = x.data.shape[-2]
+    d_inv_sqrt = 1.0 / np.sqrt(v)
+    a_hat = np.full((v, v), d_inv_sqrt * d_inv_sqrt)
     return activation(ad.constant(a_hat) @ x @ w)
 
 
@@ -125,10 +120,8 @@ def gat_layer(x, head_params, activation=ad.elu):
 def sage_layer(x, w, activation=ad.relu):
     """act([x_i | mean of neighbor features] @ W); a lone vertex aggregates
     a zero vector."""
-    edges = _clique_edges(x)
-    deg = edges.sum(axis=1)
-    scale = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-    mean_op = edges * scale[:, None]
+    v = x.data.shape[-2]
+    mean_op = (1.0 - np.eye(v)) / max(v - 1, 1)
     neigh = ad.constant(mean_op) @ x
     return activation(ad.concat([x, neigh]) @ w)
 

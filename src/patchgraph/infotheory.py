@@ -190,23 +190,12 @@ def check_kl_lower_bound(model):
     """KL(p_matched || p_unmatched) against its objective-based lower bound.
 
     Returns a report dict; ``margin`` is lhs - rhs and must be >= -1e-9.
-    An infinite KL passes automatically and is flagged.  ``jensen_slack``
-    records E_marginal[ln(p_unmatched / marginal)], the quantity whose
-    concavity gap controls how loose the bound is; nothing is asserted
-    about it.
+    An infinite KL passes automatically and is flagged.
     """
-    pm, pu, prior = model.p_matched, model.p_unmatched, model.prior
-    lhs = kl_divergence(pm, pu)
+    prior = model.prior
+    lhs = kl_divergence(model.p_matched, model.p_unmatched)
     d_star = optimal_discriminator(model)
     rhs = (discrimination_objective(model, d_star) + binary_entropy(prior)) / prior
-
-    marginal = prior * pm + (1.0 - prior) * pu
-    live = marginal > 0.0
-    if (pu[live] == 0.0).any():
-        slack = float("-inf")
-    else:
-        slack = float(np.sum(marginal[live] * np.log(pu[live] / marginal[live])))
-
     infinite = math.isinf(lhs)
     margin = float("inf") if infinite else lhs - rhs
     return {
@@ -215,7 +204,6 @@ def check_kl_lower_bound(model):
         "margin": margin,
         "pass": bool(infinite or margin >= -1e-9),
         "infinite_kl": infinite,
-        "jensen_slack": slack,
     }
 
 
@@ -351,7 +339,6 @@ def check_tv_lower_bound(model):
         "rhs_bound": rhs,
         "margin": lhs - rhs,
         "pass": bool(lhs >= rhs - 1e-9),
-        "upper_set_size": int(upper_set.sum()),
     }
 
 

@@ -39,7 +39,8 @@ from .neighbors import graph_for_patch
 from .seeds import rng_for
 
 SCORE_CLAMP = (1e-7, 1.0 - 1e-7)
-PAIRINGS = ("f_f", "rho_rho", "phi_phi", "psi_psi", "phi_psi")
+# flagship first: the ablation grid, and so ablation.csv, follow this order
+PAIRINGS = ("phi_psi", "f_f", "rho_rho", "phi_phi", "psi_psi")
 DISCRIMINATORS = ("bilinear", "cosine", "l2")
 
 

@@ -105,27 +105,22 @@ def _lse(m, axis):
                                   keepdims=True))).squeeze(axis)
 
 
-@dataclass
-class FrameMatchResult:
-    score: float
-    decision: int
-    threshold: float
-
-
-def frame_match_score(score, assignment, threshold=0.5):
-    """Assignment-weighted mean score: sum(S * P_interior) / min(A, B),
-    with the strict-threshold same-place decision."""
+def frame_match_score(score, assignment):
+    """Assignment-weighted mean score: sum(S * P_interior) / min(A, B)."""
     interior = assignment.interior
     if interior.shape != score.scores.shape:
         raise ValueError("assignment shape %r does not match scores %r"
                          % (interior.shape, score.scores.shape))
-    value = float(np.sum(score.scores * interior) / min(score.scores.shape))
-    return FrameMatchResult(score=value, decision=int(value > threshold),
-                            threshold=threshold)
+    return float(np.sum(score.scores * interior) / min(score.scores.shape))
 
 
 def same_place_label(frame_a, frame_b, radius=SAME_PLACE_RADIUS_M):
     return int(np.linalg.norm(frame_a.position - frame_b.position) < radius)
+
+
+def _f1(tp, fp, fn):
+    denom = 2 * tp + fp + fn
+    return 2 * tp / denom if denom else 0.0
 
 
 def tune_threshold(scores, labels):
@@ -138,8 +133,7 @@ def tune_threshold(scores, labels):
     candidates = sorted({0.0, *scores})
     for t in candidates:
         tp, fp, fn, _ = confusion([s > t for s in scores], labels)
-        denom = 2 * tp + fp + fn
-        f1 = 2 * tp / denom if denom else 0.0
+        f1 = _f1(tp, fp, fn)
         if f1 > best_f1 + 1e-9 or (abs(f1 - best_f1) <= 1e-9 and t < best_t):
             best_f1, best_t = f1, t
     return best_t
@@ -160,11 +154,16 @@ def place_recognition_eval(frame_pairs, model, threshold=None, seed=0,
                            radius=SAME_PLACE_RADIUS_M):
     """Score frame pairs, tune the threshold on a validation split when
     none is given, and report F1/accuracy on the remaining pairs, with the
-    largest Sinkhorn marginal residual over every frame pair.  One
+    largest Sinkhorn marginal residual over every frame pair.  Tuning holds
+    out at least one pair on each side, so it needs two frame pairs.  One
     ``FrameIndex`` serves the whole run, so each patch's clique and
     embedding are computed once."""
     if not frame_pairs:
         raise ValueError("no frame pairs to evaluate")
+    if threshold is None and len(frame_pairs) < 2:
+        raise ValueError("tuning the frame threshold needs at least two "
+                         "frame pairs, got %d; set place.tune=false to use "
+                         "place.gamma_f" % len(frame_pairs))
     cache = FrameIndex()
     scored = []
     residual = 0.0
@@ -174,14 +173,13 @@ def place_recognition_eval(frame_pairs, model, threshold=None, seed=0,
                          cache=cache)
         plan = sinkhorn_assign(s, iterations=iterations, tau=tau)
         residual = max(residual, plan.row_residual, plan.col_residual)
-        value = frame_match_score(s, plan).score
+        value = frame_match_score(s, plan)
         scored.append((fa.frame_id, fb.frame_id, value, label))
     if threshold is None:
         rng = rng_for(seed, "place/val-split")
         order = rng.permutation(len(scored))
-        n_val = max(1, int(round(VAL_FRACTION * len(scored))))
-        if len(scored) > 1:
-            n_val = min(n_val, len(scored) - 1)
+        n_val = min(max(1, int(round(VAL_FRACTION * len(scored)))),
+                    len(scored) - 1)
         val_idx = set(order[:n_val].tolist())
         threshold = tune_threshold(
             [scored[i][2] for i in sorted(val_idx)],
@@ -191,9 +189,7 @@ def place_recognition_eval(frame_pairs, model, threshold=None, seed=0,
         test = scored
     rows = [(fa, fb, s, int(s > threshold), y) for fa, fb, s, y in test]
     tp, fp, fn, tn = confusion([r[3] for r in rows], [r[4] for r in rows])
-    denom = 2 * tp + fp + fn
-    f1 = 2 * tp / denom if denom else 0.0
-    accuracy = (tp + tn) / len(rows) if rows else 0.0
-    return PlaceRecognitionReport(f1=f1, accuracy=accuracy,
+    return PlaceRecognitionReport(f1=_f1(tp, fp, fn),
+                                  accuracy=(tp + tn) / len(rows),
                                   threshold=threshold, rows=rows,
                                   sinkhorn_max_residual=residual)

@@ -141,11 +141,6 @@ class PairEntry:
 
 
 @dataclass
-class PairDataset:
-    entries: list
-
-
-@dataclass
 class SceneConfig:
     class_counts: dict = field(default_factory=lambda: {
         "traffic_light": 2, "traffic_sign": 2, "pole": 3, "window": 2})
@@ -410,7 +405,7 @@ def _sha256(path):
 
 def save_dataset(out_dir, frames, pairs=None):
     """Write frames to ``out_dir``: manifest.jsonl, an images/ directory of
-    PGM files, and pairs.csv when a PairDataset is given."""
+    PGM files, and pairs.csv when a list of PairEntry is given."""
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
     with open(manifest_path, "w") as fh:
@@ -442,7 +437,7 @@ def save_dataset(out_dir, frames, pairs=None):
         with open(os.path.join(out_dir, "pairs.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["patch_a", "patch_b", "label"])
-            for e in pairs.entries:
+            for e in pairs:
                 writer.writerow([e.patch_a, e.patch_b, e.label])
     return manifest_path
 
@@ -450,17 +445,20 @@ def save_dataset(out_dir, frames, pairs=None):
 @dataclass
 class LoadedDataset:
     frames: list
-    pairs: PairDataset
+    pairs: list                     # PairEntry
     diagnostics: list
 
 
-def load_dataset(manifest_path, pairs_path=None):
-    """Read a manifest written by save_dataset (or prepared externally).
+def load_dataset(manifest_path):
+    """Read a manifest written by save_dataset (or prepared externally),
+    and the pairs.csv beside it if there is one.
 
     Malformed frame and patch records and repeated ids are skipped and
-    reported in ``diagnostics`` as "record N: reason", and pairs.csv rows
-    that name a patch not loaded or carry a label other than 0 or 1 as
-    "pairs row N: reason"; loading never raises for per-record problems.
+    reported in ``diagnostics`` as "record N: reason".  pairs.csv rows that
+    carry a label other than 0 or 1 are skipped and reported as "pairs row
+    N: reason", and rows that name a patch not loaded as one line per such
+    patch, after the row lines.  Loading never raises for per-record
+    problems.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     frames = []
@@ -506,24 +504,25 @@ def load_dataset(manifest_path, pairs_path=None):
                 frame.patches.append(patch)
             frames.append(frame)
     entries = []
-    if pairs_path is None:
-        candidate = os.path.join(base, "pairs.csv")
-        pairs_path = candidate if os.path.exists(candidate) else None
-    if pairs_path is not None:
+    unknown = {}                    # patch id -> [rows naming it, first row]
+    pairs_path = os.path.join(base, "pairs.csv")
+    if os.path.exists(pairs_path):
         with open(pairs_path, newline="") as fh:
             for idx, row in enumerate(csv.DictReader(fh), start=1):
                 ids = (row.get("patch_a"), row.get("patch_b"))
-                unknown = [pid for pid in ids if pid not in seen_patch_ids]
-                if unknown:
-                    diagnostics.append("pairs row %d: unknown patch %r"
-                                       % (idx, unknown[0]))
+                missing = [pid for pid in ids if pid not in seen_patch_ids]
+                if missing:
+                    for pid in missing:
+                        unknown.setdefault(pid, [0, idx])[0] += 1
                 elif row.get("label") not in ("0", "1"):
                     diagnostics.append("pairs row %d: label %r is not 0 or 1"
                                        % (idx, row.get("label")))
                 else:
                     entries.append(PairEntry(*ids, int(row["label"])))
-    return LoadedDataset(frames=frames,
-                         pairs=PairDataset(entries=entries),
+    for pid, (count, first) in unknown.items():
+        diagnostics.append("pairs.csv: %d rows name unknown patch %r "
+                           "(first: row %d)" % (count, pid, first))
+    return LoadedDataset(frames=frames, pairs=entries,
                          diagnostics=diagnostics)
 
 

@@ -229,6 +229,23 @@ class TestPlace:
         assert residuals["1"][0] > 1e-6 and residuals["1"][1]
         assert residuals["100"][0] <= 1e-6 and not residuals["100"][1]
 
+    def test_one_frame_pair_needs_a_fixed_threshold(self, tmp_path, capsys):
+        data, run = str(tmp_path / "data"), str(tmp_path / "run")
+        one_scene = TINY_SYNTH + ["--set", "synth.scenes=1"]
+        assert main(["synth", "--seed", "3", "--out", data] + one_scene) == 0
+        assert main(["train", "--seed", "3", "--data", data, "--out", run]
+                    + TINY_MODEL + TINY_TRAIN) == 0
+        place = ["place", "--data", data, "--set", "place.iters=50",
+                 "--checkpoint", os.path.join(run, "model.json")]
+        capsys.readouterr()
+        assert main(place + ["--out", str(tmp_path / "tuned")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "place.tune=false" in err
+        out = str(tmp_path / "fixed")
+        assert main(place + ["--out", out, "--set", "place.tune=false"]) == 0
+        rep = read_json(os.path.join(out, "place_report.json"))
+        assert rep["evaluated_pairs"] == rep["total_pairs"] == 1
+
 
 class TestStereo:
     def test_oracle_depths_are_exact(self, tmp_path):
@@ -371,7 +388,11 @@ class TestErrors:
         warnings = [line for line in capsys.readouterr().err.splitlines()
                     if line.startswith("warning:") and dropped in line]
         assert any("missing image" in line for line in warnings)
-        assert any("pairs row 1:" in line for line in warnings)
+        unknown = [line for line in warnings if "unknown patch" in line]
+        assert len(unknown) == 1
+        assert unknown[0].startswith("warning: pairs.csv: ")
+        assert unknown[0].endswith("rows name unknown patch %r (first: row 1)"
+                                   % dropped)
 
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "missing"),

@@ -79,8 +79,7 @@ class TestScoreMatrix:
         np.testing.assert_allclose(s.scores, np.asarray(golden["scores"]),
                                    atol=1e-12)
         plan = sinkhorn_assign(s)
-        result = frame_match_score(s, plan)
-        assert abs(result.score - golden["frame_score"]) < 1e-12
+        assert abs(frame_match_score(s, plan) - golden["frame_score"]) < 1e-12
 
 
 class TestSinkhorn:
@@ -140,31 +139,26 @@ class TestFrameScore:
         s = ScoreMatrix(np.eye(3))
         plan = np.zeros((4, 4))
         plan[:3, :3] = np.eye(3)
-        result = frame_match_score(s, PartialAssignment(plan, 0.0, 0.0))
-        assert result.score == 1.0
-        assert result.decision == 1
+        assert frame_match_score(s, PartialAssignment(plan, 0.0, 0.0)) == 1.0
 
     def test_all_dustbin_scores_zero(self):
         s = ScoreMatrix(np.full((2, 3), 0.9))
         plan = np.zeros((3, 4))
         plan[:2, 3] = 1.0
         plan[2, :3] = 1.0
-        result = frame_match_score(s, PartialAssignment(plan, 0.0, 0.0))
-        assert result.score == 0.0
-        assert result.decision == 0
+        assert frame_match_score(s, PartialAssignment(plan, 0.0, 0.0)) == 0.0
 
     def test_monotone_in_scores(self):
         rng = np.random.default_rng(5)
         scores = rng.uniform(0.0, 0.9, size=(3, 4))
         s = ScoreMatrix(scores)
         plan = sinkhorn_assign(s)
-        base = frame_match_score(s, plan).score
+        base = frame_match_score(s, plan)
         for i in range(3):
             for j in range(4):
                 bumped = scores.copy()
                 bumped[i, j] = min(1.0, bumped[i, j] + 0.05)
-                assert frame_match_score(ScoreMatrix(bumped),
-                                         plan).score >= base
+                assert frame_match_score(ScoreMatrix(bumped), plan) >= base
 
     def test_shape_mismatch_rejected(self):
         s = ScoreMatrix(np.full((2, 2), 0.5))
@@ -269,6 +263,16 @@ class TestPlaceRecognitionEval:
         with pytest.raises(ValueError):
             place_recognition_eval([], model)
 
+    def test_tuning_needs_two_frame_pairs(self):
+        rng = np.random.default_rng(13)
+        model = init_model(ModelConfig(n=4, k=2), seed=5)
+        one = self._pairs(rng)[:1]
+        with pytest.raises(ValueError, match="place.tune=false"):
+            place_recognition_eval(one, model, scorer=PlaceScorer())
+        report = place_recognition_eval(one, model, scorer=PlaceScorer(),
+                                        threshold=0.5)
+        assert len(report.rows) == 1
+
     def test_each_patch_embedded_once_per_run(self, monkeypatch):
         rng = np.random.default_rng(12)
         model = init_model(ModelConfig(n=4, k=2), seed=6)
@@ -278,7 +282,7 @@ class TestPlaceRecognitionEval:
         expected = []
         for fa, fb in pairs:
             s = score_matrix(fa, fb, model)
-            value = frame_match_score(s, sinkhorn_assign(s)).score
+            value = frame_match_score(s, sinkhorn_assign(s))
             expected.append((fa.frame_id, fb.frame_id, value,
                              int(value > 0.5), same_place_label(fa, fb)))
         embedded = []

@@ -297,15 +297,14 @@ def test_dataset_round_trip(tmp_path):
     noise = sc.NoiseConfig(sigma_loc=0.1, occlusion_prob=0.0)
     fa, fb = sc.render_views(scene, _cam((0, 1.5, 0)), _cam((4, 1.5, 0)), noise, 8)
     entries, _ = sc.ground_truth_pairs(fa, fb)
-    pairs = sc.PairDataset(entries=entries)
-    manifest = sc.save_dataset(tmp_path / "ds", [fa, fb], pairs)
+    manifest = sc.save_dataset(tmp_path / "ds", [fa, fb], entries)
 
     loaded = sc.load_dataset(manifest)
     assert loaded.diagnostics == []
     assert len(loaded.frames) == 2
     assert [len(f.patches) for f in loaded.frames] == [len(fa.patches), len(fb.patches)]
     orig = {e.patch_a + "|" + e.patch_b: e.label for e in entries}
-    back = {e.patch_a + "|" + e.patch_b: e.label for e in loaded.pairs.entries}
+    back = {e.patch_a + "|" + e.patch_b: e.label for e in loaded.pairs}
     assert orig == back
     for p_orig, p_back in zip(fa.patches, loaded.frames[0].patches):
         np.testing.assert_array_equal(p_orig.pixels, p_back.pixels)
@@ -317,7 +316,7 @@ def test_load_dataset_empty_manifest(tmp_path):
     path = tmp_path / "manifest.jsonl"
     path.write_text("")
     loaded = sc.load_dataset(path)
-    assert loaded.frames == [] and loaded.pairs.entries == []
+    assert loaded.frames == [] and loaded.pairs == []
     assert loaded.diagnostics == []
 
 
@@ -354,19 +353,21 @@ def test_load_dataset_skips_bad_pair_rows(tmp_path):
     noise = sc.NoiseConfig(sigma_loc=0.1, occlusion_prob=0.0)
     fa, fb = sc.render_views(scene, _cam((0, 1.5, 0)), _cam((4, 1.5, 0)), noise, 9)
     entries, _ = sc.ground_truth_pairs(fa, fb)
-    manifest = sc.save_dataset(tmp_path, [fa, fb], sc.PairDataset(entries))
+    manifest = sc.save_dataset(tmp_path, [fa, fb], entries)
     dropped = entries[0].patch_a
     (tmp_path / "images" / (dropped.replace("/", "_") + ".pgm")).unlink()
     with open(tmp_path / "pairs.csv", "a") as fh:
         fh.write("%s,%s,yes\n" % (fa.patches[-1].patch_id, fb.patches[-1].patch_id))
     loaded = sc.load_dataset(manifest)
     kept = [e for e in entries if dropped not in (e.patch_a, e.patch_b)]
-    assert [(e.patch_a, e.patch_b, e.label) for e in loaded.pairs.entries] == \
+    assert [(e.patch_a, e.patch_b, e.label) for e in loaded.pairs] == \
         [(e.patch_a, e.patch_b, e.label) for e in kept]
-    bad_rows = [d for d in loaded.diagnostics if d.startswith("pairs row")]
-    assert len(bad_rows) == len(entries) - len(kept) + 1
-    assert all(dropped in d for d in bad_rows[:-1])
-    assert bad_rows[-1] == "pairs row %d: label 'yes' is not 0 or 1" % (len(entries) + 1)
+    # one line per bad label, then one line per unknown patch
+    pair_lines = [d for d in loaded.diagnostics if d.startswith("pairs")]
+    assert pair_lines == [
+        "pairs row %d: label 'yes' is not 0 or 1" % (len(entries) + 1),
+        "pairs.csv: %d rows name unknown patch %r (first: row 1)"
+        % (len(entries) - len(kept), dropped)]
 
 
 def test_load_dataset_checksum_verified(tmp_path):

@@ -16,6 +16,12 @@
 # reports and log lines record (train_report.json's checkpoint) agree
 # between the two trees.
 #
+# Besides every model command for each architecture and pool, it runs the
+# two ground-truth oracles (eval --perfect-oracle, stereo with
+# stereo.oracle_match=true), verify-theory with small model counts, and
+# place on a one-scene dataset (two frames, so one frame pair) with
+# threshold tuning on and off.
+#
 # The last block runs train and place on data-bad, a copy of the dataset
 # with three bad records (an image path that is a directory, a 2-vector
 # loc3d, a NaN frame position), so the comparison covers the diagnostics
@@ -57,6 +63,17 @@ pg train --data data --out tiny_conv/train $small \
 pg eval --data data --checkpoint tiny_conv/train/model.json \
     --out tiny_conv/eval
 pg ablate --data data --out ablate $small
+pg eval --data data --perfect-oracle --out oracle/eval
+pg stereo --set stereo.oracle_match=true --out oracle/stereo
+pg verify-theory --seed 5 --set theory.kl_models=10 \
+    --set theory.scaling_models=4 --set theory.tv_models=10 --out theory
+
+pg synth --seed 3 --set synth.scenes=1 --out data-two
+pg train --data data-two --out two/train --set train.epochs=2
+pg place --data data-two --checkpoint two/train/model.json \
+    --out two/place-tuned
+pg place --data data-two --checkpoint two/train/model.json \
+    --set place.tune=false --out two/place-fixed
 
 cp -r data data-bad
 python3 - <<'EOF_BAD'
