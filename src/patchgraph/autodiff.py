@@ -59,14 +59,6 @@ class Tensor:
         self._vjps = ()
         self._id = next(_ids)
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data)
 

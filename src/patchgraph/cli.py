@@ -47,6 +47,7 @@ from .scene import (
     render_views,
     save_dataset,
     standard_camera,
+    write_atomic,
 )
 from .seeds import rng_for
 from .stereo import StereoGeometry, estimate_depths
@@ -78,21 +79,6 @@ def _json_safe(x):
     return x
 
 
-def _write_atomic(out_dir, name, write, newline=None):
-    """Write ``out_dir/name`` through ``write(fh)`` into a .tmp file that
-    replaces the target only once it is complete."""
-    path = os.path.join(out_dir, name)
-    staged = path + ".tmp"
-    try:
-        with open(staged, "w", newline=newline) as fh:
-            write(fh)
-        os.replace(staged, path)
-    finally:
-        if os.path.exists(staged):
-            os.remove(staged)
-    return path
-
-
 def _write_report(out_dir, name, payload, cfg, seed):
     payload = dict(payload)
     payload["config_hash"] = config_hash(cfg)
@@ -103,7 +89,7 @@ def _write_report(out_dir, name, payload, cfg, seed):
         json.dump(_json_safe(payload), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
-    return _write_atomic(out_dir, name, write)
+    return write_atomic(out_dir, name, write)
 
 
 def _write_csv(out_dir, name, header, rows):
@@ -112,7 +98,7 @@ def _write_csv(out_dir, name, header, rows):
         writer.writerow(header)
         writer.writerows(rows)
 
-    return _write_atomic(out_dir, name, write, newline="")
+    return write_atomic(out_dir, name, write, newline="")
 
 
 def _load_corpus(data_dir):
@@ -165,7 +151,7 @@ def cmd_synth(cfg, seed, out_dir, args):
         pairs, disagree = ground_truth_pairs(
             fa, fb, tau_match=cfg["synth.tau_match"],
             max_pairs=cfg["synth.max_pairs"], rng=pair_rng)
-        disagreements += len(disagree)
+        disagreements += disagree
         frames.extend([fa, fb])
         entries.extend(pairs)
     save_dataset(out_dir, frames, entries)
@@ -482,8 +468,6 @@ def main(argv=None):
         for p in exc.problems:
             print("  - " + p, file=sys.stderr)
         return 2
-    out_dir = args.out or os.path.join("runs", args.command)
-    os.makedirs(out_dir, exist_ok=True)
     needs_ckpt = args.command in ("eval", "match", "place", "stereo")
     if needs_ckpt and getattr(args, "checkpoint", None) is None:
         oracle_ok = ((args.command == "eval" and args.perfect_oracle)
@@ -493,6 +477,8 @@ def main(argv=None):
             print("error: --checkpoint is required for %s" % args.command,
                   file=sys.stderr)
             return 2
+    out_dir = args.out or os.path.join("runs", args.command)
+    os.makedirs(out_dir, exist_ok=True)
     try:
         return _COMMANDS[args.command](cfg, args.seed, out_dir, args)
     except (ValueError, KeyError, OSError) as exc:

@@ -42,6 +42,8 @@ SCHEMA = {
     "synth.sigma_loc":    (0.2, float, _NON_NEGATIVE),
     "synth.occlusion":    (0.1, float, _UNIT),
     "synth.sigma_pixel":  (8.0, float, _NON_NEGATIVE),
+    # synth patches carry landmark ids, which override the distance rule,
+    # so tau_match changes only synth_report's label_disagreements
     "synth.tau_match":    (1.0, float, _POSITIVE),
     "synth.camera_gap":   (4.0, float, _POSITIVE),
     "synth.scene_spacing": (200.0, float, _POSITIVE),

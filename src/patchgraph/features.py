@@ -66,16 +66,6 @@ def init_featurizer(variant, n, seed):
     return FeaturizerParams(variant, n, tensors)
 
 
-def _grayscale(pixels):
-    arr = np.asarray(pixels)
-    if arr.size == 0:
-        raise ValueError("empty pixel block")
-    if arr.ndim != 2:
-        raise ValueError("expected HxW grayscale pixels, got shape %r"
-                         % (arr.shape,))
-    return arr.astype(np.float64)
-
-
 def _histogram_descriptor(pixels):
     """16-bin intensity counts + 8-bin gradient-orientation counts,
     concatenated and L2-normalized.
@@ -84,7 +74,7 @@ def _histogram_descriptor(pixels):
     everywhere, atan2(0, 0) = 0, so all its orientation mass lands in the
     bin containing angle zero.
     """
-    img = _grayscale(pixels)
+    img = np.asarray(pixels, dtype=np.float64)
     ih, _ = np.histogram(img, bins=INTENSITY_BINS, range=(0.0, 256.0))
     gy, gx = np.gradient(img)
     theta = np.arctan2(gy, gx)
@@ -104,7 +94,7 @@ def extract_fixed(patch, params):
 
 def extract_conv(patch, params):
     """Conv stack -> global average pool -> linear head, differentiable."""
-    x = ad.constant(_grayscale(patch.pixels)[None] / 255.0)
+    x = ad.constant(patch.pixels[None] / 255.0)
     for block in ("conv1", "conv2", "conv3"):
         w = params.tensors[block + ".w"]
         x = ad.relu(ad.conv2d(x, w, params.tensors[block + ".b"],

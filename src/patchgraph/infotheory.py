@@ -89,10 +89,6 @@ class DiscretePairModel:
     def has_corruption(self):
         return self.m_match is not None or self.m_unmatch is not None
 
-    @property
-    def support_size(self):
-        return self.p_matched.size
-
     @classmethod
     def from_corruption(cls, prior, m_match, m_unmatch, q_match_clean,
                         q_match_corrupt, q_unmatch_clean, q_unmatch_corrupt):
@@ -253,46 +249,28 @@ def _pick_generic_table(model, eps_grid):
     return float(best_d0)
 
 
-def perturbation_scaling(model, eps_grid=None, d_generic=None):
+def perturbation_scaling(model):
     """Measure how the objective responds to constant shifts of a table.
 
     At a generic interior table the change is first order in the shift; at
     the optimal table the linear term vanishes and the change is second
     order with a negative coefficient.  Returns the two log-log regression
-    slopes plus bookkeeping about skipped or rescaled grid points.
+    slopes and whether every shift of the optimal table lowered the
+    objective.
     """
-    grid = np.asarray(DEFAULT_EPS_GRID if eps_grid is None else eps_grid,
-                      dtype=np.float64)
-    if (grid <= 0.0).any():
-        raise ValueError("perturbation sizes must be positive")
-    grid = np.sort(grid)[::-1]
+    grid = np.asarray(DEFAULT_EPS_GRID)
 
-    if d_generic is None:
-        d0 = _pick_generic_table(model, grid)
-        d_gen = np.full(model.support_size, d0)
-    else:
-        d_gen = np.asarray(d_generic, dtype=np.float64)
-
-    report = {"skipped_generic": 0, "skipped_optimal": 0, "grid_rescaled": False}
-
-    def deltas_for(table, grid):
+    def changes(table, shifts):
+        """(shifts kept, objective changes) over the shifts that keep the
+        table inside (0, 1)."""
         base = discrimination_objective(model, table)
-        eps_used, deltas, signed = [], [], []
-        skipped = 0
-        for e in grid:
-            shifted = table + e
-            if (shifted >= 1.0).any() or (shifted <= 0.0).any():
-                skipped += 1
-                continue
-            change = discrimination_objective(model, shifted) - base
-            eps_used.append(e)
-            deltas.append(abs(change))
-            signed.append(change)
-        return eps_used, deltas, signed, skipped
+        kept = [e for e in shifts
+                if ((table + e > 0.0) & (table + e < 1.0)).all()]
+        return kept, [discrimination_objective(model, table + e) - base
+                      for e in kept]
 
-    eps_g, del_g, _, skip_g = deltas_for(d_gen, grid)
-    report["skipped_generic"] = skip_g
-    report["slope_generic"] = _loglog_slope(eps_g, del_g)
+    d_gen = np.full(model.p_matched.size, _pick_generic_table(model, grid))
+    eps_g, change_g = changes(d_gen, grid)
 
     # At the optimum the quadratic term must dominate the cubic one over the
     # whole grid, or the regression slope drifts off 2.  Both Taylor
@@ -307,17 +285,12 @@ def perturbation_scaling(model, eps_grid=None, d_generic=None):
     headroom = 1.0 - d_star.max()
     cap = min(float(grid.max()), 0.5 * headroom,
               0.225 * quad / max(abs(cubic), 1e-300))
-    grid_opt = grid
-    if cap < grid.max():
-        grid_opt = grid * (cap / grid.max())
-        report["grid_rescaled"] = True
-
-    eps_o, del_o, signed_o, skip_o = deltas_for(d_star, grid_opt)
-    report["skipped_optimal"] = skip_o
-    report["eps_max_optimal"] = float(grid_opt.max())
-    report["slope_optimal"] = _loglog_slope(eps_o, del_o)
-    report["optimal_changes_nonpositive"] = bool(all(c <= 0.0 for c in signed_o))
-    return report
+    eps_o, change_o = changes(d_star, grid * (cap / grid.max()))
+    return {
+        "slope_generic": _loglog_slope(eps_g, np.abs(change_g)),
+        "slope_optimal": _loglog_slope(eps_o, np.abs(change_o)),
+        "optimal_changes_nonpositive": bool(all(c <= 0.0 for c in change_o)),
+    }
 
 
 def check_tv_lower_bound(model):

@@ -276,11 +276,9 @@ class FrameIndex:
 
     * the clique of each patch, as the slots of its vertices (center first),
       built through ``graph_for_patch``;
-    * the descriptor row of every vertex whose descriptor cannot train (a
-      precomputed ``feature``, or a featurizer without trainable tensors),
-      computed through ``featurize``;
-    * while no tape is recorded, the embedding rows of each patch, since the
-      parameters cannot change between batches of one inference call.
+    * the rows of each patch that cannot change during the call: its
+      descriptor ``f`` unless a tape records a featurizer that trains, and,
+      while no tape is recorded, its embeddings ``rho`` and ``g``.
 
     The keys are frame and patch ids, which repeat across datasets (``synth``
     names frames ``s000/a`` at every seed), so an index serves one call on
@@ -291,8 +289,7 @@ class FrameIndex:
         self.slots = {}        # (frame id, patch id) -> slot
         self.patches = []      # slot -> (patch, frame)
         self.cliques = {}      # slot -> vertex slots, center first
-        self.descriptors = {}  # slot -> fixed descriptor row
-        self.embedded = {}     # slot -> {field: row} computed without a tape
+        self.rows = {}         # slot -> {field: row} kept for the call
 
     def slot(self, patch, frame):
         key = (frame.frame_id, patch.patch_id)
@@ -312,18 +309,20 @@ class FrameIndex:
         return vertices
 
     def descriptor_table(self, slots, featurizer):
-        """(len(slots), n) descriptors; fixed rows come from the index, and
-        trainable ones are recomputed on every call."""
-        fixed = not featurizer.trainable()
+        """(len(slots), n) descriptors.  While a tape records a featurizer
+        that trains, a row without a precomputed ``feature`` is recomputed
+        on every call; every other row comes from the index."""
+        live = ad._grad_enabled and bool(featurizer.trainable())
         rows = []
         for slot in slots:
             patch = self.patches[slot][0]
-            if not (fixed or patch.feature is not None):
+            if live and patch.feature is None:
                 rows.append(featurize(patch, featurizer))
                 continue
-            if slot not in self.descriptors:
-                self.descriptors[slot] = featurize(patch, featurizer).data
-            rows.append(self.descriptors[slot])
+            kept = self.rows.setdefault(slot, {})
+            if "f" not in kept:
+                kept["f"] = featurize(patch, featurizer).data
+            rows.append(kept["f"])
         if all(isinstance(r, np.ndarray) for r in rows):
             return ad.constant(np.stack(rows))
         return ad.stack_rows(rows)
@@ -369,12 +368,12 @@ class FrameIndex:
         else:
             base = ("f", "rho", "g") if context else ("f",)
             todo = [s for s in slots
-                    if not all(f in self.embedded.get(s, ()) for f in base)]
+                    if not all(f in self.rows.get(s, ()) for f in base)]
             if todo:
                 for field, t in self.embed(todo, model, context).items():
                     for slot, row in zip(todo, t.data):
-                        self.embedded.setdefault(slot, {})[field] = row
-            tables = {f: ad.constant(np.stack([self.embedded[s][f]
+                        self.rows[slot].setdefault(field, row)
+            tables = {f: ad.constant(np.stack([self.rows[s][f]
                                                for s in slots]))
                       for f in base}
         if "phi" in fields:

@@ -112,6 +112,10 @@ class Patch:
                              % (self.patch_id, self.bbox))
         self.bbox = bbox
         self.pixels = np.asarray(self.pixels, dtype=np.uint8)
+        if self.pixels.ndim != 2 or self.pixels.size == 0:
+            raise ValueError("patch %s: pixels of shape %r are not a "
+                             "non-empty HxW block"
+                             % (self.patch_id, self.pixels.shape))
         self.loc3d = _point(self.loc3d, "patch %s: loc3d" % self.patch_id)
 
 
@@ -328,27 +332,21 @@ def ground_truth_pairs(frame_a, frame_b, tau_match=1.0, max_pairs=None, rng=None
 
     Matched iff the L2 distance between locations is <= tau_match
     (inclusive).  When both patches carry landmark ids, the id equality
-    overrides the distance rule; pairs where the two rules disagree are
-    returned separately for inspection.
+    overrides the distance rule, and the pairs where the two rules
+    disagree are counted.
 
-    Returns (entries, disagreements).
+    Returns (entries, number of disagreeing pairs).
     """
     entries = []
-    disagreements = []
+    disagreements = 0
     for pa in frame_a.patches:
         for pb in frame_b.patches:
             dist = float(np.linalg.norm(pa.loc3d - pb.loc3d))
-            dist_label = 1 if dist <= tau_match else 0
+            label = 1 if dist <= tau_match else 0
             if pa.landmark_id is not None and pb.landmark_id is not None:
-                label = 1 if pa.landmark_id == pb.landmark_id else 0
-                if label != dist_label:
-                    disagreements.append({
-                        "patch_a": pa.patch_id, "patch_b": pb.patch_id,
-                        "distance": dist, "id_label": label,
-                        "distance_label": dist_label,
-                    })
-            else:
-                label = dist_label
+                id_label = 1 if pa.landmark_id == pb.landmark_id else 0
+                disagreements += id_label != label
+                label = id_label
             entries.append(PairEntry(pa.patch_id, pb.patch_id, label))
     if max_pairs is not None and len(entries) > max_pairs:
         if rng is None:
@@ -403,12 +401,28 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def write_atomic(out_dir, name, write, newline=None):
+    """Write ``out_dir/name`` through ``write(fh)`` into a .tmp file that
+    replaces the target only once it is complete."""
+    path = os.path.join(out_dir, name)
+    staged = path + ".tmp"
+    try:
+        with open(staged, "w", newline=newline) as fh:
+            write(fh)
+        os.replace(staged, path)
+    finally:
+        if os.path.exists(staged):
+            os.remove(staged)
+    return path
+
+
 def save_dataset(out_dir, frames, pairs=None):
     """Write frames to ``out_dir``: manifest.jsonl, an images/ directory of
-    PGM files, and pairs.csv when a list of PairEntry is given."""
+    PGM files, and pairs.csv when a list of PairEntry is given.  The
+    manifest and pairs.csv each replace the old file only once complete."""
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
-    manifest_path = os.path.join(out_dir, "manifest.jsonl")
-    with open(manifest_path, "w") as fh:
+
+    def write_manifest(fh):
         for frame in frames:
             cam = frame.camera
             patch_records = []
@@ -433,12 +447,16 @@ def save_dataset(out_dir, frames, pairs=None):
                 "position": [float(x) for x in frame.position],
                 "patches": patch_records,
             }) + "\n")
+
+    def write_pairs(fh):
+        writer = csv.writer(fh)
+        writer.writerow(["patch_a", "patch_b", "label"])
+        for e in pairs:
+            writer.writerow([e.patch_a, e.patch_b, e.label])
+
+    manifest_path = write_atomic(out_dir, "manifest.jsonl", write_manifest)
     if pairs is not None:
-        with open(os.path.join(out_dir, "pairs.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["patch_a", "patch_b", "label"])
-            for e in pairs:
-                writer.writerow([e.patch_a, e.patch_b, e.label])
+        write_atomic(out_dir, "pairs.csv", write_pairs, newline="")
     return manifest_path
 
 

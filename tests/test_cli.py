@@ -149,6 +149,12 @@ class TestEval:
         assert rc == 2
         assert "--checkpoint" in capsys.readouterr().err
 
+    def test_usage_error_creates_no_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", "--data", "nowhere"]) == 2
+        assert main(["place", "--data", "nowhere", "--out", "x"]) == 2
+        assert os.listdir(tmp_path) == []
+
 
 class TestMatch:
     def test_scores_all_cross_pairs(self, workspace, tmp_path):

@@ -22,9 +22,8 @@ def make_patch(pixels, feature=None):
                  pixels, loc3d=np.zeros(3), feature=feature)
 
 
-def random_patch(rng, side=32, channels=1):
-    shape = (side, side) if channels == 1 else (side, side, channels)
-    return make_patch(rng.integers(0, 256, size=shape, dtype=np.uint8))
+def random_patch(rng, side=32):
+    return make_patch(rng.integers(0, 256, size=(side, side), dtype=np.uint8))
 
 
 class TestHistogramDescriptor:
@@ -48,10 +47,6 @@ class TestHistogramDescriptor:
             desc = _histogram_descriptor(
                 rng.integers(0, 256, size=(32, 32), dtype=np.uint8))
             assert abs(np.linalg.norm(desc) - 1.0) < 1e-12
-
-    def test_empty_patch_rejected(self):
-        with pytest.raises(ValueError):
-            _histogram_descriptor(np.zeros((0, 0), dtype=np.uint8))
 
 
 class TestFixedVariant:
@@ -93,14 +88,6 @@ class TestFixedVariant:
             vec = extract_fixed(random_patch(rng, side=int(rng.integers(4, 40))),
                                 params)
             assert np.all(np.isfinite(vec.data))
-
-    def test_channel_mismatch_rejected(self):
-        # patches are grayscale: H x W x 3 pixels fail in either variant
-        rng = np.random.default_rng(4)
-        for variant in ("fixed_hist", "tiny_conv"):
-            params = init_featurizer(variant, 32, 0)
-            with pytest.raises(ValueError):
-                featurize(random_patch(rng, channels=3), params)
 
 
 class TestConvVariant:

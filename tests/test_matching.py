@@ -434,6 +434,32 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(PairCorpus([]), model)
 
+    def test_tiny_conv_featurizes_each_patch_once(self, monkeypatch):
+        # 100 rows run as two inference chunks, and the second chunk's
+        # cliques share vertices with the first's
+        rng = np.random.default_rng(8)
+        frames = [make_frame(fid, [make_patch("%s/p%d" % (fid, i), fid,
+                                              (2.0 * i, 0.0, 10.0), rng=rng)
+                                   for i in range(10)])
+                  for fid in ("f0", "f1")]
+        entries = [PairEntry(a.patch_id, b.patch_id, int(i == j))
+                   for i, a in enumerate(frames[0].patches)
+                   for j, b in enumerate(frames[1].patches)]
+        corpus = PairCorpus.from_frames(frames, entries)
+        assert len(corpus.rows) > matching.INFERENCE_CHUNK
+        model = init_model(ModelConfig(n=8, k=3, featurizer="tiny_conv"),
+                           seed=8)
+        calls, featurize = [], matching.featurize
+
+        def counted(patch, params):
+            calls.append(patch.patch_id)
+            return featurize(patch, params)
+
+        monkeypatch.setattr(matching, "featurize", counted)
+        evaluate(corpus, model)
+        assert sorted(calls) == sorted(p.patch_id for f in frames
+                                       for p in f.patches)
+
 
 class TestAblation:
     def test_cosine_identical_vectors(self):

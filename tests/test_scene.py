@@ -185,6 +185,22 @@ def test_texture_classes_are_distinct():
             assert (imgs[keys[i]] != imgs[keys[j]]).mean() > 0.1
 
 
+# -- patch records --------------------------------------------------------------
+
+def test_patch_rejects_empty_pixels():
+    for shape in ((0, 0), (4, 0)):
+        with pytest.raises(ValueError, match="patch a/p0: pixels of shape"):
+            sc.Patch("a/p0", "a", (0, 0, 4, 4), np.zeros(shape, np.uint8),
+                     [0, 0, 10])
+
+
+def test_patch_rejects_rgb_pixels():
+    # patches are grayscale: an H x W x 3 block never reaches a featurizer
+    with pytest.raises(ValueError, match="patch a/p0: pixels of shape"):
+        sc.Patch("a/p0", "a", (0, 0, 4, 4), np.zeros((4, 4, 3), np.uint8),
+                 [0, 0, 10])
+
+
 # -- ground-truth labeling ----------------------------------------------------
 
 def _patch(pid, fid, loc, lm=None):
@@ -203,8 +219,7 @@ def test_ground_truth_pairs_id_override():
     fb = _frame("b", [_patch("b/p0", "b", [30, 0, 10], lm="lm1")], pos=(3, 0, 0))
     entries, disagreements = sc.ground_truth_pairs(fa, fb, tau_match=1.0)
     assert entries[0].label == 1  # same id wins despite 30 m distance
-    assert len(disagreements) == 1
-    assert disagreements[0]["distance_label"] == 0
+    assert disagreements == 1
 
 
 def test_ground_truth_pairs_by_distance():
@@ -310,6 +325,30 @@ def test_dataset_round_trip(tmp_path):
         np.testing.assert_array_equal(p_orig.pixels, p_back.pixels)
         np.testing.assert_allclose(p_orig.loc3d, p_back.loc3d, atol=1e-12)
         assert p_back.landmark_id == p_orig.landmark_id
+
+
+def test_save_dataset_failure_keeps_previous_files(tmp_path, monkeypatch):
+    scene = _small_scene(seed=31)
+    noise = sc.NoiseConfig(sigma_loc=0.1, occlusion_prob=0.0)
+    fa, fb = sc.render_views(scene, _cam((0, 1.5, 0)), _cam((4, 1.5, 0)), noise, 8)
+    entries, _ = sc.ground_truth_pairs(fa, fb)
+    sc.save_dataset(tmp_path, [fb], entries[:3])
+    before = {name: (tmp_path / name).read_bytes()
+              for name in ("manifest.jsonl", "pairs.csv")}
+
+    write_image, written = sc.write_image, []
+
+    def failing_write_image(path, pixels):
+        if len(written) == len(fa.patches):  # the first image of fb
+            raise OSError("disk full")
+        written.append(path)
+        write_image(path, pixels)
+
+    monkeypatch.setattr(sc, "write_image", failing_write_image)
+    with pytest.raises(OSError, match="disk full"):
+        sc.save_dataset(tmp_path, [fa, fb], entries)
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_load_dataset_empty_manifest(tmp_path):

@@ -5,12 +5,8 @@
 # statuses, go to OUT/log.txt.
 #
 # Comparing two trees this way checks that a change keeps every CLI output
-# byte-identical:
-#
-#   git archive HEAD~1 | tar -x -C ../parent
-#   tools/cli_outputs.sh ../parent ../out-parent
-#   tools/cli_outputs.sh . ../out-change
-#   diff -r ../out-parent ../out-change
+# byte-identical; tools/compare_cli_outputs.sh REV does it against a git
+# revision.
 #
 # The commands run inside OUT with relative paths, so the paths that
 # reports and log lines record (train_report.json's checkpoint) agree
