@@ -37,6 +37,7 @@ from .placerec import (
     score_matrix,
 )
 from .scene import (
+    CLASS_COUNT_KEYS,
     LANDMARK_CLASSES,
     Landmark3D,
     NoiseConfig,
@@ -46,8 +47,8 @@ from .scene import (
     load_dataset,
     render_views,
     save_dataset,
+    staged,
     standard_camera,
-    write_atomic,
 )
 from .seeds import rng_for
 from .stereo import StereoGeometry, estimate_depths
@@ -67,13 +68,7 @@ def _json_safe(x):
         return int(x)
     if isinstance(x, (np.floating, float)):
         x = float(x)
-        if x != x:
-            return "nan"
-        if x == float("inf"):
-            return "inf"
-        if x == float("-inf"):
-            return "-inf"
-        return x
+        return x if np.isfinite(x) else str(x)  # "nan", "inf" or "-inf"
     if isinstance(x, np.ndarray):
         return _json_safe(x.tolist())
     return x
@@ -84,21 +79,19 @@ def _write_report(out_dir, name, payload, cfg, seed):
     payload["config_hash"] = config_hash(cfg)
     payload["version"] = __version__
     payload["seed"] = seed
-
-    def write(fh):
+    path = os.path.join(out_dir, name)
+    with staged(path) as (tmp,), open(tmp, "w") as fh:
         json.dump(_json_safe(payload), fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-    return write_atomic(out_dir, name, write)
+    return path
 
 
 def _write_csv(out_dir, name, header, rows):
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-    return write_atomic(out_dir, name, write, newline="")
+    with staged(os.path.join(out_dir, name)) as (tmp,):
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 def _load_corpus(data_dir):
@@ -125,11 +118,7 @@ class OracleScorer:
 
 def cmd_synth(cfg, seed, out_dir, args):
     scene_cfg = SceneConfig(class_counts={
-        "traffic_light": cfg["synth.lights"],
-        "traffic_sign": cfg["synth.signs"],
-        "pole": cfg["synth.poles"],
-        "window": cfg["synth.windows"],
-    })
+        cls: cfg[key] for cls, key in CLASS_COUNT_KEYS.items()})
     noise = NoiseConfig(sigma_loc=cfg["synth.sigma_loc"],
                         occlusion_prob=cfg["synth.occlusion"],
                         sigma_pixel=cfg["synth.sigma_pixel"])
@@ -191,13 +180,6 @@ def cmd_train(cfg, seed, out_dir, args):
     return 0
 
 
-def _metrics_rows(metrics):
-    return [("precision", metrics["precision"]), ("recall", metrics["recall"]),
-            ("f1", metrics["f1"]), ("auc", metrics["auc"]),
-            ("tp", metrics["tp"]), ("fp", metrics["fp"]),
-            ("fn", metrics["fn"]), ("tn", metrics["tn"])]
-
-
 def cmd_eval(cfg, seed, out_dir, args):
     _, corpus = _load_corpus(args.data)
     if args.perfect_oracle:
@@ -213,7 +195,8 @@ def cmd_eval(cfg, seed, out_dir, args):
                  int(s > cfg["model.gamma"]))
                 for r, s in zip(corpus.rows, metrics["scores"])])
     _write_csv(out_dir, "metrics.csv", ["metric", "value"],
-               _metrics_rows(metrics))
+               [(k, metrics[k]) for k in ("precision", "recall", "f1", "auc",
+                                          "tp", "fp", "fn", "tn")])
     summary = {k: v for k, v in metrics.items()
                if k not in ("scores", "labels")}
     summary["pairs"] = len(corpus.rows)
@@ -478,7 +461,6 @@ def main(argv=None):
                   file=sys.stderr)
             return 2
     out_dir = args.out or os.path.join("runs", args.command)
-    os.makedirs(out_dir, exist_ok=True)
     try:
         return _COMMANDS[args.command](cfg, args.seed, out_dir, args)
     except (ValueError, KeyError, OSError) as exc:

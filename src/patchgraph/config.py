@@ -29,7 +29,7 @@ SCHEMA = {
     "model.pool":         ("mean", str, _one_of("mean", "max")),
     "model.gamma":        (0.5, float, _UNIT),
 
-    "train.lr":           (1e-4, float, _POSITIVE),
+    "train.lr":           (1e-4, float, _NON_NEGATIVE),
     "train.epochs":       (150, int, _POSITIVE),
     "train.batch":        (16, int, _POSITIVE),
     "train.balance":      (True, bool, _ANY),

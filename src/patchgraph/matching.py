@@ -24,7 +24,6 @@ loss over labeled pairs.
 
 import json
 import math
-import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -32,10 +31,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .config import SCHEMA, ConfigError, model_problems
+from .config import SCHEMA, ConfigError, check_value, model_problems
 from .features import FeaturizerParams, featurize, init_featurizer
 from .gnn import GnnParams, embed_graph, init_gnn
 from .neighbors import graph_for_patch
+from .scene import staged
 from .seeds import rng_for
 
 SCORE_CLAMP = (1e-7, 1.0 - 1e-7)
@@ -157,19 +157,11 @@ def save_model(path, model):
     """Tensor checkpoint plus a JSON config sidecar at <path>.config.json,
     both renamed into place only after both writes succeed."""
     path = str(path)
-    config_path = path + ".config.json"
-    staged, config_staged = path + ".tmp", config_path + ".tmp"
-    try:
-        ad.save_named_tensors(staged, {k: v.data for k, v in
-                                       model.named_tensors().items()})
-        with open(config_staged, "w") as fh:
+    with staged(path, path + ".config.json") as (tensors_tmp, config_tmp):
+        ad.save_named_tensors(tensors_tmp, {k: v.data for k, v in
+                                            model.named_tensors().items()})
+        with open(config_tmp, "w") as fh:
             json.dump(vars(model.config), fh, indent=1, sort_keys=True)
-        os.replace(config_staged, config_path)
-        os.replace(staged, path)
-    finally:
-        for leftover in (staged, config_staged):
-            if os.path.exists(leftover):
-                os.remove(leftover)
 
 
 def load_model(path):
@@ -573,19 +565,30 @@ class PairCorpus:
 
 # -- training -----------------------------------------------------------------
 
+_TRAIN_KEYS = {"epochs": "train.epochs", "lr": "train.lr",
+               "batch_size": "train.batch", "balance": "train.balance"}
+
+
 @dataclass
 class TrainConfig:
-    epochs: int = 150
-    lr: float = 1e-4
-    batch_size: int = 16
+    """Each field but ``seed`` is the config key that _TRAIN_KEYS names,
+    checked against config.SCHEMA; ``seed`` is the command's --seed."""
+    epochs: int = SCHEMA["train.epochs"][0]
+    lr: float = SCHEMA["train.lr"][0]
+    batch_size: int = SCHEMA["train.batch"][0]
     seed: int = 0
-    balance: bool = True
+    balance: bool = SCHEMA["train.balance"][0]
+
+    def __post_init__(self):
+        problems = [p for p in (check_value(key, getattr(self, f))
+                                for f, key in _TRAIN_KEYS.items()) if p]
+        if problems:
+            raise ConfigError(problems)
 
     @classmethod
     def from_config(cls, cfg, seed):
-        return cls(epochs=cfg["train.epochs"], lr=cfg["train.lr"],
-                   batch_size=cfg["train.batch"], seed=seed,
-                   balance=cfg["train.balance"])
+        return cls(seed=seed,
+                   **{f: cfg[key] for f, key in _TRAIN_KEYS.items()})
 
 
 def _balanced_order(rows, rng, balance):

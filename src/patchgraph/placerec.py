@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import SCHEMA
 from .matching import FrameIndex, VariantScorer, confusion, symmetric_scores
 from .seeds import rng_for
 
-SAME_PLACE_RADIUS_M = 10.0
-DUSTBIN_DEFAULT = 0.2
-SINKHORN_TAU = 0.1
-SINKHORN_ITERS = 100
+SAME_PLACE_RADIUS_M = SCHEMA["place.radius"][0]
+DUSTBIN_DEFAULT = SCHEMA["place.dustbin"][0]
+SINKHORN_TAU = SCHEMA["place.tau"][0]
+SINKHORN_ITERS = SCHEMA["place.iters"][0]
 # share of the frame pairs that tunes the threshold when none is given
 VAL_FRACTION = 0.5
 # Largest row or column marginal error of a converged plan (acceptance

@@ -15,13 +15,19 @@ import hashlib
 import json
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import SCHEMA
 from .seeds import rng_for
 
-LANDMARK_CLASSES = ("traffic_light", "traffic_sign", "pole", "window")
+# each landmark class and the synth.* config key that counts it
+CLASS_COUNT_KEYS = {"traffic_light": "synth.lights",
+                    "traffic_sign": "synth.signs",
+                    "pole": "synth.poles", "window": "synth.windows"}
+LANDMARK_CLASSES = tuple(CLASS_COUNT_KEYS)
 
 # physical extent (width, height) in meters used to size bounding boxes
 _CLASS_SIZE = {
@@ -147,7 +153,7 @@ class PairEntry:
 @dataclass
 class SceneConfig:
     class_counts: dict = field(default_factory=lambda: {
-        "traffic_light": 2, "traffic_sign": 2, "pole": 3, "window": 2})
+        cls: SCHEMA[key][0] for cls, key in CLASS_COUNT_KEYS.items()})
     x_range: tuple = (-12.0, 12.0)
     y_range: tuple = (0.0, 5.0)
     z_range: tuple = (6.0, 28.0)
@@ -157,9 +163,11 @@ class SceneConfig:
 
 @dataclass
 class NoiseConfig:
-    sigma_loc: float = 0.2          # Gaussian noise on estimated 3D location
-    occlusion_prob: float = 0.1     # chance a landmark is dropped per view
-    sigma_pixel: float = 8.0        # additive pixel noise before quantization
+    """Gaussian noise on each patch's 3D location, the chance that a view
+    drops a landmark, and pixel noise added before quantization."""
+    sigma_loc: float = SCHEMA["synth.sigma_loc"][0]
+    occlusion_prob: float = SCHEMA["synth.occlusion"][0]
+    sigma_pixel: float = SCHEMA["synth.sigma_pixel"][0]
 
 
 def generate_scene(config, seed):
@@ -327,7 +335,9 @@ def render_views(scene, camera_a, camera_b, noise, seed, frame_ids=None):
     return frames[0], frames[1]
 
 
-def ground_truth_pairs(frame_a, frame_b, tau_match=1.0, max_pairs=None, rng=None):
+def ground_truth_pairs(frame_a, frame_b,
+                       tau_match=SCHEMA["synth.tau_match"][0], max_pairs=None,
+                       rng=None):
     """Label every cross-frame patch pair by 3D distance.
 
     Matched iff the L2 distance between locations is <= tau_match
@@ -401,63 +411,62 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def write_atomic(out_dir, name, write, newline=None):
-    """Write ``out_dir/name`` through ``write(fh)`` into a .tmp file that
-    replaces the target only once it is complete."""
-    path = os.path.join(out_dir, name)
-    staged = path + ".tmp"
+@contextmanager
+def staged(*paths):
+    """Yield one ``.tmp`` path per target, creating the targets'
+    directories.  Every target is replaced by its .tmp only once the whole
+    block has succeeded, and no .tmp outlives the block."""
+    tmps = [path + ".tmp" for path in paths]
+    for path in paths:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     try:
-        with open(staged, "w", newline=newline) as fh:
-            write(fh)
-        os.replace(staged, path)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     finally:
-        if os.path.exists(staged):
-            os.remove(staged)
-    return path
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
-def save_dataset(out_dir, frames, pairs=None):
+def save_dataset(out_dir, frames, pairs=()):
     """Write frames to ``out_dir``: manifest.jsonl, an images/ directory of
-    PGM files, and pairs.csv when a list of PairEntry is given.  The
-    manifest and pairs.csv each replace the old file only once complete."""
+    PGM files, and pairs.csv listing ``pairs`` (PairEntry).  The manifest
+    and pairs.csv replace the old files together, once both are complete."""
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
-
-    def write_manifest(fh):
-        for frame in frames:
-            cam = frame.camera
-            patch_records = []
-            for p in frame.patches:
-                rel = "images/%s.pgm" % p.patch_id.replace("/", "_")
-                img_path = os.path.join(out_dir, rel)
-                write_image(img_path, p.pixels)
-                rec = {
-                    "patch_id": p.patch_id,
-                    "bbox": [float(b) for b in p.bbox],
-                    "image": rel,
-                    "loc3d": [float(x) for x in p.loc3d],
-                    "sha256": _sha256(img_path),
-                }
-                if p.landmark_id is not None:
-                    rec["landmark_id"] = p.landmark_id
-                patch_records.append(rec)
-            fh.write(json.dumps({
-                "frame_id": frame.frame_id,
-                "camera": {"fx": cam.fx, "fy": cam.fy, "cx": cam.cx,
-                           "cy": cam.cy, "W": cam.width, "H": cam.height},
-                "position": [float(x) for x in frame.position],
-                "patches": patch_records,
-            }) + "\n")
-
-    def write_pairs(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["patch_a", "patch_b", "label"])
-        for e in pairs:
-            writer.writerow([e.patch_a, e.patch_b, e.label])
-
-    manifest_path = write_atomic(out_dir, "manifest.jsonl", write_manifest)
-    if pairs is not None:
-        write_atomic(out_dir, "pairs.csv", write_pairs, newline="")
-    return manifest_path
+    paths = [os.path.join(out_dir, name)
+             for name in ("manifest.jsonl", "pairs.csv")]
+    with staged(*paths) as (manifest_tmp, pairs_tmp):
+        with open(manifest_tmp, "w") as fh:
+            for frame in frames:
+                cam = frame.camera
+                patch_records = []
+                for p in frame.patches:
+                    rel = "images/%s.pgm" % p.patch_id.replace("/", "_")
+                    img_path = os.path.join(out_dir, rel)
+                    write_image(img_path, p.pixels)
+                    rec = {
+                        "patch_id": p.patch_id,
+                        "bbox": [float(b) for b in p.bbox],
+                        "image": rel,
+                        "loc3d": [float(x) for x in p.loc3d],
+                        "sha256": _sha256(img_path),
+                    }
+                    if p.landmark_id is not None:
+                        rec["landmark_id"] = p.landmark_id
+                    patch_records.append(rec)
+                fh.write(json.dumps({
+                    "frame_id": frame.frame_id,
+                    "camera": {"fx": cam.fx, "fy": cam.fy, "cx": cam.cx,
+                               "cy": cam.cy, "W": cam.width, "H": cam.height},
+                    "position": [float(x) for x in frame.position],
+                    "patches": patch_records,
+                }) + "\n")
+        with open(pairs_tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["patch_a", "patch_b", "label"])
+            writer.writerows((e.patch_a, e.patch_b, e.label) for e in pairs)
+    return paths[0]
 
 
 @dataclass

@@ -8,9 +8,10 @@ threshold (0.9 by default).
 
 from dataclasses import dataclass
 
+from .config import SCHEMA
 from .placerec import score_matrix
 
-STEREO_MATCH_THRESHOLD = 0.9
+STEREO_MATCH_THRESHOLD = SCHEMA["stereo.gamma"][0]
 
 
 @dataclass

@@ -117,11 +117,7 @@ def test_tmax_values_and_argmax_routing():
     assert np.array_equal(g, [[0.0, 1.0], [1.0, 0.0]])
 
 
-# Attention over a clique normalizes each row over every vertex, so it uses
-# the plain softmax over the last axis; there is no masked softmax any more.
-# The tests keep their earlier names so their ids stay stable.
-
-def test_masked_softmax_rows_sum_to_one():
+def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(7)
     logits = ad.parameter(rng.standard_normal((5, 5)) * 3)
     y = ad.softmax(logits)
@@ -130,7 +126,7 @@ def test_masked_softmax_rows_sum_to_one():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_masked_softmax_gradient(seed):
+def test_softmax_gradient(seed):
     rng = np.random.default_rng(300 + seed)
     logits = ad.parameter(rng.standard_normal((4, 4)))
     coef = ad.constant(rng.standard_normal((4, 4)))

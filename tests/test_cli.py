@@ -155,6 +155,12 @@ class TestEval:
         assert main(["place", "--data", "nowhere", "--out", "x"]) == 2
         assert os.listdir(tmp_path) == []
 
+    def test_runtime_error_creates_no_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", "--data", "nowhere",
+                     "--checkpoint", "nope.json"]) == 1
+        assert os.listdir(tmp_path) == []
+
 
 class TestMatch:
     def test_scores_all_cross_pairs(self, workspace, tmp_path):

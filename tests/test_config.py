@@ -1,5 +1,8 @@
+import inspect
+
 import pytest
 
+from patchgraph import placerec, scene, stereo
 from patchgraph.config import (
     SCHEMA,
     ConfigError,
@@ -30,6 +33,25 @@ class TestDefaults:
         a = load_config()
         a["model.n"] = 99
         assert load_config()["model.n"] == 32
+
+    def test_library_defaults_come_from_the_schema(self):
+        cfg = default_config()
+        assert placerec.SAME_PLACE_RADIUS_M == cfg["place.radius"]
+        assert placerec.DUSTBIN_DEFAULT == cfg["place.dustbin"]
+        assert placerec.SINKHORN_TAU == cfg["place.tau"]
+        assert placerec.SINKHORN_ITERS == cfg["place.iters"]
+        assert stereo.STEREO_MATCH_THRESHOLD == cfg["stereo.gamma"]
+        assert scene.NoiseConfig() == scene.NoiseConfig(
+            sigma_loc=cfg["synth.sigma_loc"],
+            occlusion_prob=cfg["synth.occlusion"],
+            sigma_pixel=cfg["synth.sigma_pixel"])
+        assert scene.SceneConfig().class_counts == {
+            "traffic_light": cfg["synth.lights"],
+            "traffic_sign": cfg["synth.signs"],
+            "pole": cfg["synth.poles"], "window": cfg["synth.windows"]}
+        tau = inspect.signature(scene.ground_truth_pairs).parameters[
+            "tau_match"].default
+        assert tau == cfg["synth.tau_match"]
 
 
 class TestFileParsing:

@@ -631,6 +631,24 @@ class TestModelConfig:
         assert ModelConfig(gamma=1).gamma == 1
 
 
+class TestTrainConfig:
+    def test_defaults_come_from_the_schema(self):
+        assert TrainConfig.from_config(default_config(), 0) == TrainConfig()
+
+    # each of these used to reach train(): a zero step in range(), an
+    # empty history, an uphill run, non-finite embeddings
+    @pytest.mark.parametrize("field, value, key", [
+        ("batch_size", 0, "train.batch"),
+        ("epochs", 0, "train.epochs"),
+        ("lr", -1.0, "train.lr"),
+        ("lr", float("nan"), "train.lr"),
+    ])
+    def test_invalid_value_names_its_key(self, field, value, key):
+        with pytest.raises(ConfigError) as exc:
+            TrainConfig(**{field: value})
+        assert [p.split(":")[0] for p in exc.value.problems] == [key]
+
+
 class TestGolden:
     def test_golden_embeddings_and_score(self):
         golden = json.loads(GOLDEN.read_text())

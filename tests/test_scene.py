@@ -350,6 +350,18 @@ def test_save_dataset_failure_keeps_previous_files(tmp_path, monkeypatch):
     assert {name: (tmp_path / name).read_bytes() for name in before} == before
     assert not list(tmp_path.glob("*.tmp"))
 
+    # a fault in pairs.csv, after the manifest is complete
+    monkeypatch.setattr(sc, "write_image", write_image)
+
+    def failing_pairs():
+        yield entries[0]
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        sc.save_dataset(tmp_path, [fa, fb], failing_pairs())
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    assert not list(tmp_path.glob("*.tmp"))
+
 
 def test_load_dataset_empty_manifest(tmp_path):
     path = tmp_path / "manifest.jsonl"

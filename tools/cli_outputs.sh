@@ -21,7 +21,8 @@
 # The last block runs train and place on data-bad, a copy of the dataset
 # with three bad records (an image path that is a directory, a 2-vector
 # loc3d, a NaN frame position), so the comparison covers the diagnostics
-# path too.
+# path too, and an eval that fails at run time (exit 1), which must leave
+# no fail/eval directory behind.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -87,3 +88,4 @@ with open(path, "w") as fh:
 EOF_BAD
 pg train --data data-bad --out bad/train $small
 pg place --data data-bad --checkpoint gat-mean/train/model.json --out bad/place
+pg eval --data nowhere --checkpoint nope.json --out fail/eval
