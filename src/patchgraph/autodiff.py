@@ -357,6 +357,12 @@ def reshape(a, shape):
                  (lambda g: g.reshape(a.data.shape),))
 
 
+def moveaxis(a, source, destination):
+    """``a`` with axis ``source`` moved to position ``destination``."""
+    return _make(np.moveaxis(a.data, source, destination), (a,),
+                 (lambda g: np.moveaxis(g, destination, source),))
+
+
 # -- nonlinearities ------------------------------------------------------
 
 def sigmoid(a):

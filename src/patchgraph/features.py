@@ -67,15 +67,18 @@ def init_featurizer(variant, n, seed):
 
 
 def _histogram_descriptor(pixels):
-    """16-bin intensity counts + 8-bin gradient-orientation counts,
-    concatenated and L2-normalized.
+    """16-bin intensity counts + 8-bin gradient-orientation counts of uint8
+    ``pixels``, concatenated and L2-normalized.
 
     Orientations are unweighted votes; a flat patch has zero gradient
     everywhere, atan2(0, 0) = 0, so all its orientation mass lands in the
     bin containing angle zero.
     """
-    img = np.asarray(pixels, dtype=np.float64)
-    ih, _ = np.histogram(img, bins=INTENSITY_BINS, range=(0.0, 256.0))
+    img = pixels.astype(np.float64)
+    # bins of 256 / 16 levels; scaling an integer level by a power of two
+    # is exact, so truncation gives its bin
+    ih = np.bincount((img * (INTENSITY_BINS / 256.0)).astype(int).reshape(-1),
+                     minlength=INTENSITY_BINS)
     gy, gx = np.gradient(img)
     theta = np.arctan2(gy, gx)
     idx = np.clip(((theta + np.pi) / (2.0 * np.pi) * ORIENTATION_BINS)

@@ -35,13 +35,29 @@ class GnnParams:
     architecture: str
     n: int
     tensors: dict  # name -> Tensor
-    heads: int = DEFAULT_HEADS
 
     def trainable(self):
         return [t for t in self.tensors.values() if t.requires_grad]
 
     def named_tensors(self, prefix="gnn."):
-        return {prefix + k: v for k, v in self.tensors.items()}
+        """Checkpoint entries.  A gat layer's stacked tensors appear per
+        head, as ``layer{L}.head{h}.{w,al,ar}``: fresh views into the
+        stacks, so writing into a view's data writes the stack.  Views are
+        made anew on every call, since ``adam_step`` rebinds the stacks'
+        data."""
+        if self.architecture != "gat":
+            return {prefix + k: v for k, v in self.tensors.items()}
+        out = {}
+        for layer in range(1, NUM_LAYERS + 1):
+            w, al, ar = (self.tensors["layer%d.%s" % (layer, k)].data
+                         for k in ("w", "a_left", "a_right"))
+            heads, dh = al.shape
+            for h in range(heads):
+                head = "%slayer%d.head%d." % (prefix, layer, h)
+                out[head + "w"] = ad.constant(w[:, h * dh:(h + 1) * dh])
+                out[head + "al"] = ad.constant(al[h])
+                out[head + "ar"] = ad.constant(ar[h])
+        return out
 
 
 @dataclass
@@ -59,26 +75,31 @@ class GraphEmbeddings:
 
 
 def init_gnn(architecture, n, seed, heads=DEFAULT_HEADS):
-    """Fresh 2-layer parameters, uniform +-1/sqrt(fan_in), seeded."""
+    """Fresh 2-layer parameters, uniform +-1/sqrt(fan_in), seeded.  A gat
+    layer draws each head's w (n, dh), al and ar (dh,) in turn, then
+    stacks them: w side by side into (n, heads*dh), al and ar as rows of
+    (heads, dh)."""
     rng = rng_for(seed, "gnn/" + architecture)
     tensors = {}
 
-    def unif(name, shape, fan_in):
+    def unif(shape, fan_in):
         bound = 1.0 / math.sqrt(fan_in)
-        tensors[name] = ad.parameter(rng.uniform(-bound, bound, size=shape))
+        return rng.uniform(-bound, bound, size=shape)
 
     for layer in range(1, NUM_LAYERS + 1):
+        name = "layer%d." % layer
         if architecture == "gcn":
-            unif("layer%d.w" % layer, (n, n), n)
+            tensors[name + "w"] = ad.parameter(unif((n, n), n))
         elif architecture == "sage":
-            unif("layer%d.w" % layer, (2 * n, n), 2 * n)
+            tensors[name + "w"] = ad.parameter(unif((2 * n, n), 2 * n))
         elif architecture == "gat":
             dh = n // heads
-            for h in range(heads):
-                unif("layer%d.head%d.w" % (layer, h), (n, dh), n)
-                unif("layer%d.head%d.al" % (layer, h), (dh,), n)
-                unif("layer%d.head%d.ar" % (layer, h), (dh,), n)
-    return GnnParams(architecture, n, tensors, heads=heads)
+            w, al, ar = zip(*[(unif((n, dh), n), unif((dh,), n),
+                               unif((dh,), n)) for _ in range(heads)])
+            tensors[name + "w"] = ad.parameter(np.concatenate(w, axis=1))
+            tensors[name + "a_left"] = ad.parameter(np.stack(al))
+            tensors[name + "a_right"] = ad.parameter(np.stack(ar))
+    return GnnParams(architecture, n, tensors)
 
 
 def gcn_layer(x, w, activation=ad.relu):
@@ -93,28 +114,28 @@ def gcn_layer(x, w, activation=ad.relu):
     return activation(ad.constant(a_hat) @ x @ w)
 
 
-def gat_attention(x, w, a_left, a_right):
-    """One head's attention matrix and projected features.
+def gat_layer(x, w, a_left, a_right, activation=ad.elu):
+    """Multi-head attention layer, every head in one pass.
 
-    Scores e_ij = LeakyReLU(a_left . Wx_i + a_right . Wx_j), normalized by
+    Head h projects with column block h of ``w`` (n, heads*dh) and scores
+    e_ij = LeakyReLU(a_left[h] . Wx_i + a_right[h] . Wx_j), normalized by
     softmax over the closed neighborhood of i, which in a clique is every
-    vertex.
+    vertex.  The heads' weighted sums (..., V, dh) are concatenated in head
+    order, then activated.
     """
-    wx = x @ w
-    s = wx @ a_left
-    t = wx @ a_right
-    scores = ad.leaky_relu(ad.add_outer(s, t), slope=0.2)
-    return ad.softmax(scores), wx
-
-
-def gat_layer(x, head_params, activation=ad.elu):
-    """Multi-head attention layer; each head's weighted sums (..., V,
-    n/heads) are concatenated, then activated."""
-    outs = []
-    for w, a_left, a_right in head_params:
-        alpha, wx = gat_attention(x, w, a_left, a_right)
-        outs.append(alpha @ wx)
-    return activation(ad.concat(outs))
+    lead = x.data.shape[:-1]                        # (..., V)
+    heads, dh = a_left.data.shape
+    # every product runs per clique, as in a one-head layer, never on rows
+    # flattened across cliques, which BLAS can round differently
+    wx = ad.moveaxis(ad.reshape(x @ w, lead + (heads, dh)), -2, 0)
+    column = (heads,) + (1,) * (len(lead) - 1) + (dh, 1)
+    s = wx @ ad.reshape(a_left, column)             # (heads, ..., V, 1)
+    t = wx @ ad.reshape(a_right, column)
+    scores = ad.add_outer(ad.reshape(s, (heads,) + lead),
+                          ad.reshape(t, (heads,) + lead))
+    alpha = ad.softmax(ad.leaky_relu(scores, slope=0.2))
+    out = ad.moveaxis(alpha @ wx, 0, -2)            # (..., V, heads, dh)
+    return activation(ad.reshape(out, lead + (heads * dh,)))
 
 
 def sage_layer(x, w, activation=ad.relu):
@@ -132,11 +153,8 @@ def _run_layer(x, params, layer):
         return gcn_layer(x, params.tensors["layer%d.w" % layer])
     if arch == "sage":
         return sage_layer(x, params.tensors["layer%d.w" % layer])
-    heads = [(params.tensors["layer%d.head%d.w" % (layer, h)],
-              params.tensors["layer%d.head%d.al" % (layer, h)],
-              params.tensors["layer%d.head%d.ar" % (layer, h)])
-             for h in range(params.heads)]
-    return gat_layer(x, heads)
+    return gat_layer(x, *(params.tensors["layer%d.%s" % (layer, k)]
+                          for k in ("w", "a_left", "a_right")))
 
 
 def embed_graph(node_features, params, pool="mean"):

@@ -188,7 +188,7 @@ def load_model(path):
         if stored[name].shape != tensor.data.shape:
             raise ValueError("checkpoint tensor %s has shape %r, expected %r"
                              % (name, stored[name].shape, tensor.data.shape))
-        tensor.data = stored[name]
+        tensor.data[...] = stored[name]  # a view writes into its stack
     return model
 
 

@@ -369,13 +369,15 @@ def ground_truth_pairs(frame_a, frame_b,
 # -- PGM ---------------------------------------------------------------------
 
 def write_image(path, pixels):
-    """Binary PGM (P5) of HxW grayscale pixels with maxval 255."""
+    """Binary PGM (P5) of HxW grayscale pixels with maxval 255; returns the
+    bytes written."""
     arr = np.asarray(pixels, dtype=np.uint8)
     if arr.ndim != 2:
         raise ValueError("expected HxW 8-bit grayscale pixels")
+    data = b"P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]) + arr.tobytes()
     with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
-        fh.write(arr.tobytes())
+        fh.write(data)
+    return data
 
 
 # "P5", width, height and maxval, separated by whitespace and "#" comments,
@@ -417,8 +419,8 @@ def staged(*paths):
     directories.  Every target is replaced by its .tmp only once the whole
     block has succeeded, and no .tmp outlives the block."""
     tmps = [path + ".tmp" for path in paths]
-    for path in paths:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    for folder in {os.path.dirname(path) or "." for path in paths}:
+        os.makedirs(folder, exist_ok=True)
     try:
         yield tmps
         for tmp, path in zip(tmps, paths):
@@ -431,26 +433,29 @@ def staged(*paths):
 
 def save_dataset(out_dir, frames, pairs=()):
     """Write frames to ``out_dir``: manifest.jsonl, an images/ directory of
-    PGM files, and pairs.csv listing ``pairs`` (PairEntry).  The manifest
-    and pairs.csv replace the old files together, once both are complete."""
-    os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
+    PGM files, and pairs.csv listing ``pairs`` (PairEntry).  Every file
+    replaces its old version only once all of them are complete, so a save
+    that fails part-way leaves the old dataset whole."""
+    patches = [p for frame in frames for p in frame.patches]
+    images = ["images/%s.pgm" % p.patch_id.replace("/", "_") for p in patches]
     paths = [os.path.join(out_dir, name)
-             for name in ("manifest.jsonl", "pairs.csv")]
-    with staged(*paths) as (manifest_tmp, pairs_tmp):
+             for name in ["manifest.jsonl", "pairs.csv"] + images]
+    with staged(*paths) as (manifest_tmp, pairs_tmp, *image_tmps):
+        records = iter([
+            (rel, hashlib.sha256(write_image(tmp, p.pixels)).hexdigest())
+            for rel, tmp, p in zip(images, image_tmps, patches)])
         with open(manifest_tmp, "w") as fh:
             for frame in frames:
                 cam = frame.camera
                 patch_records = []
                 for p in frame.patches:
-                    rel = "images/%s.pgm" % p.patch_id.replace("/", "_")
-                    img_path = os.path.join(out_dir, rel)
-                    write_image(img_path, p.pixels)
+                    rel, digest = next(records)
                     rec = {
                         "patch_id": p.patch_id,
                         "bbox": [float(b) for b in p.bbox],
                         "image": rel,
                         "loc3d": [float(x) for x in p.loc3d],
-                        "sha256": _sha256(img_path),
+                        "sha256": digest,
                     }
                     if p.landmark_id is not None:
                         rec["landmark_id"] = p.landmark_id

@@ -384,3 +384,22 @@ def test_unbroadcast_sums_a_stack_back_to_a_matrix():
     x = ad.constant(rng.standard_normal((5, 3, 3)))
     (gw,) = ad.gradients((w * x).sum(), [w])
     np.testing.assert_allclose(gw, x.data.sum(axis=0), atol=1e-15)
+
+
+@pytest.mark.parametrize("source,destination", [(0, -1), (-2, 0), (1, 2),
+                                                (2, 2)])
+def test_moveaxis_values_and_gradient(source, destination):
+    rng = np.random.default_rng(560)
+    a = ad.parameter(rng.standard_normal((2, 3, 4)))
+    moved = ad.moveaxis(a, source, destination)
+    assert np.array_equal(moved.data,
+                          np.moveaxis(a.data, source, destination))
+    coef = ad.constant(rng.standard_normal(moved.data.shape))
+
+    def f():
+        return (ad.moveaxis(a, source, destination) * coef).sum()
+
+    assert _fd_check(f, [a]) < 1e-4
+    # the gradient is the coefficients moved back, exactly
+    (g,) = ad.gradients(f(), [a])
+    assert np.array_equal(g, np.moveaxis(coef.data, destination, source))

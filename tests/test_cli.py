@@ -3,8 +3,10 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
+from patchgraph import scene
 from patchgraph.cli import main
 
 TINY_MODEL = ["--set", "model.n=8", "--set", "model.k=2",
@@ -94,6 +96,38 @@ class TestSynth:
         a = open(os.path.join(workspace["data"], "pairs.csv")).read()
         b = open(os.path.join(other, "pairs.csv")).read()
         assert a == b
+
+
+    def test_failed_synth_keeps_old_dataset(self, tmp_path, monkeypatch,
+                                            capsys):
+        # the second synth overwrites four of the old images' names, then
+        # fails on its fifth image
+        data = str(tmp_path / "data")
+        manifest = os.path.join(data, "manifest.jsonl")
+        assert main(["synth", "--seed", "1", "--out", data]
+                    + TINY_SYNTH) == 0
+        before = scene.load_dataset(manifest)
+        write_image, written = scene.write_image, []
+
+        def failing_write_image(path, pixels):
+            if len(written) == 4:
+                raise OSError("disk full")
+            written.append(path)
+            return write_image(path, pixels)
+
+        monkeypatch.setattr(scene, "write_image", failing_write_image)
+        capsys.readouterr()
+        assert main(["synth", "--seed", "2", "--out", data]
+                    + TINY_SYNTH) == 1
+        assert "disk full" in capsys.readouterr().err
+        after = scene.load_dataset(manifest)
+        assert after.diagnostics == []
+        assert after.pairs == before.pairs
+        old = [p for f in before.frames for p in f.patches]
+        new = [p for f in after.frames for p in f.patches]
+        assert [p.patch_id for p in new] == [p.patch_id for p in old]
+        for p, q in zip(new, old):
+            assert np.array_equal(p.pixels, q.pixels)
 
 
 class TestTrain:

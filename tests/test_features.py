@@ -48,6 +48,22 @@ class TestHistogramDescriptor:
                 rng.integers(0, 256, size=(32, 32), dtype=np.uint8))
             assert abs(np.linalg.norm(desc) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 7), (5, 3), (32, 32),
+                                       (17, 40)])
+    def test_intensity_bins_match_float_histogram(self, shape):
+        # the scale-and-count route against np.histogram of a float copy
+        # over [0, 256); every pixel votes once in each half, so the
+        # intensity counts are the half's share of the pixel count
+        rng = np.random.default_rng(sum(shape))
+        for pixels in (rng.integers(0, 256, size=shape, dtype=np.uint8),
+                       np.full(shape, 255, dtype=np.uint8),
+                       np.full(shape, 16, dtype=np.uint8)):
+            counts, _ = np.histogram(pixels.astype(np.float64),
+                                     bins=INTENSITY_BINS, range=(0.0, 256.0))
+            inten = _histogram_descriptor(pixels)[:INTENSITY_BINS]
+            assert np.array_equal(
+                np.rint(inten * pixels.size / inten.sum()), counts)
+
 
 class TestFixedVariant:
     def test_deterministic(self):

@@ -8,7 +8,6 @@ import patchgraph.autodiff as ad
 from patchgraph.gnn import (
     GraphEmbeddings,
     embed_graph,
-    gat_attention,
     gat_layer,
     gcn_layer,
     init_gnn,
@@ -62,46 +61,71 @@ class TestGcnLayer:
         assert ad.grad_check(f, [w1, w2]) < 1e-4
 
 
+def one_head_attention(features, w, a_left, a_right):
+    """One head's attention matrix and weighted sum of projected features,
+    both read off ``gat_layer``.  One-hot vertex columns appended to the
+    features pass through an identity block of the projection and are not
+    scored, so their output columns are alpha @ I = alpha."""
+    v, m = features.shape
+    dh = w.shape[1]
+    w_full = np.zeros((m + v, dh + v))
+    w_full[:m, :dh] = w
+    w_full[m:, dh:] = np.eye(v)
+    pad = np.zeros(v)
+    out = gat_layer(ad.constant(np.hstack([features, np.eye(v)])),
+                    ad.constant(w_full),
+                    ad.constant(np.concatenate([a_left, pad])[None]),
+                    ad.constant(np.concatenate([a_right, pad])[None]),
+                    activation=identity).data
+    return out[:, dh:], out[:, :dh]
+
+
 class TestGatLayer:
     def test_single_vertex_self_attention_is_one(self):
         rng = np.random.default_rng(1)
-        x = ad.constant(rng.standard_normal((1, 4)))
-        w = ad.constant(rng.standard_normal((4, 2)))
-        alpha, wx = gat_attention(x, w,
-                                  ad.constant(rng.standard_normal(2)),
-                                  ad.constant(rng.standard_normal(2)))
-        assert alpha.data.shape == (1, 1)
-        assert alpha.data[0, 0] == 1.0
-        np.testing.assert_allclose((alpha @ wx).data, wx.data, atol=1e-15)
+        x = rng.standard_normal((1, 4))
+        w = rng.standard_normal((4, 2))
+        alpha, weighted = one_head_attention(x, w, rng.standard_normal(2),
+                                             rng.standard_normal(2))
+        assert alpha.shape == (1, 1)
+        assert alpha[0, 0] == 1.0
+        np.testing.assert_allclose(weighted, x @ w, atol=1e-15)
 
     def test_identical_features_give_uniform_attention(self):
         rng = np.random.default_rng(2)
         row = rng.standard_normal(4)
-        x = ad.constant(np.tile(row, (5, 1)))
-        alpha, _ = gat_attention(x, ad.constant(rng.standard_normal((4, 2))),
-                                 ad.constant(rng.standard_normal(2)),
-                                 ad.constant(rng.standard_normal(2)))
-        np.testing.assert_allclose(alpha.data, np.full((5, 5), 0.2), atol=1e-12)
+        alpha, _ = one_head_attention(np.tile(row, (5, 1)),
+                                      rng.standard_normal((4, 2)),
+                                      rng.standard_normal(2),
+                                      rng.standard_normal(2))
+        np.testing.assert_allclose(alpha, np.full((5, 5), 0.2), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_attention_rows_sum_to_one(self, seed):
         rng = np.random.default_rng(10 + seed)
         v = int(rng.integers(2, 7))
-        x = ad.constant(rng.standard_normal((v, 4)))
-        alpha, _ = gat_attention(x, ad.constant(rng.standard_normal((4, 3))),
-                                 ad.constant(rng.standard_normal(3)),
-                                 ad.constant(rng.standard_normal(3)))
-        np.testing.assert_allclose(alpha.data.sum(axis=1), np.ones(v),
+        alpha, _ = one_head_attention(rng.standard_normal((v, 4)),
+                                      rng.standard_normal((4, 3)),
+                                      rng.standard_normal(3),
+                                      rng.standard_normal(3))
+        np.testing.assert_allclose(alpha.sum(axis=1), np.ones(v),
                                    atol=1e-12)
 
     def test_heads_concatenate(self):
+        # head h's output columns are the one-head layer of column block h
+        # of w and row h of the attention vectors, in head order
         rng = np.random.default_rng(3)
         x = ad.constant(rng.standard_normal((3, 4)))
-        heads = [(ad.constant(rng.standard_normal((4, 2))),
-                  ad.constant(rng.standard_normal(2)),
-                  ad.constant(rng.standard_normal(2))) for _ in range(2)]
-        out = gat_layer(x, heads)
+        w, a_left, a_right = (ad.constant(rng.standard_normal(shape))
+                              for shape in ((4, 4), (2, 2), (2, 2)))
+        out = gat_layer(x, w, a_left, a_right)
         assert out.data.shape == (3, 4)
+        for h in range(2):
+            one = gat_layer(x, ad.constant(w.data[:, 2 * h:2 * h + 2]),
+                            ad.constant(a_left.data[h:h + 1]),
+                            ad.constant(a_right.data[h:h + 1]))
+            np.testing.assert_allclose(out.data[:, 2 * h:2 * h + 2],
+                                       one.data, rtol=0, atol=1e-15)
 
     def test_grad_check(self):
         rng = np.random.default_rng(4)
@@ -276,3 +300,18 @@ class TestParams:
     def test_named_tensors_prefix(self):
         params = init_gnn("sage", 8, seed=0)
         assert set(params.named_tensors()) == {"gnn.layer1.w", "gnn.layer2.w"}
+
+    def test_gat_named_tensors_are_per_head_views(self):
+        # checkpoint entries: one per head, in layer, head, (w, al, ar)
+        # order, each a view that writes into its layer's stack
+        params = init_gnn("gat", 8, seed=0, heads=2)
+        named = params.named_tensors()
+        assert list(named) == ["gnn.layer%d.head%d.%s" % (layer, h, part)
+                               for layer in (1, 2) for h in range(2)
+                               for part in ("w", "al", "ar")]
+        named["gnn.layer2.head1.w"].data[...] = 7.0
+        named["gnn.layer1.head0.ar"].data[...] = -3.0
+        w, a_right = (params.tensors[k].data
+                      for k in ("layer2.w", "layer1.a_right"))
+        assert np.all(w[:, 4:] == 7.0) and not np.any(w[:, :4] == 7.0)
+        assert np.all(a_right[0] == -3.0) and not np.any(a_right[1] == -3.0)

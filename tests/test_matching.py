@@ -30,10 +30,12 @@ from patchgraph.matching import (
     loss_from_scores,
     match_score,
     save_model,
+    symmetric_scores,
     train,
 )
 from patchgraph.config import SCHEMA, ConfigError, default_config
 from patchgraph.scene import Frame, Patch, PairEntry, standard_camera
+from patchgraph.seeds import rng_for
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "matcher_case.json"
 
@@ -595,6 +597,52 @@ class TestCheckpoint:
                     == tensor.data.tobytes())
         assert sorted(os.listdir(tmp_path)) == ["model.json",
                                                 "model.json.config.json"]
+
+    def test_per_head_checkpoint_loads_and_scores_as_its_source(self,
+                                                                tmp_path):
+        # gat checkpoints keep one entry per head and layer; build one from
+        # a {name: array} dict, each head drawn (w, al, ar) in turn as the
+        # model's initialisation draws them
+        config = ModelConfig(n=16, k=2, heads=4)
+        source = init_model(config, seed=5)
+        arrays = {name: t.data for name, t in source.named_tensors().items()
+                  if not name.startswith("gnn.")}
+        rng = rng_for(5, "gnn/gat")
+        bound = 1.0 / math.sqrt(16)
+        for layer in (1, 2):
+            for h in range(4):
+                for part, shape in (("w", (16, 4)), ("al", (4,)),
+                                    ("ar", (4,))):
+                    arrays["gnn.layer%d.head%d.%s" % (layer, h, part)] = (
+                        rng.uniform(-bound, bound, size=shape))
+        path = str(tmp_path / "model.json")
+        ad.save_named_tensors(path, arrays)
+        with open(path + ".config.json", "w") as fh:
+            json.dump(vars(config), fh)
+
+        back = load_model(path)
+        stacks = back.gnn.tensors
+        for layer in (1, 2):
+            heads = ["gnn.layer%d.head%d." % (layer, h) for h in range(4)]
+            assert np.array_equal(stacks["layer%d.w" % layer].data,
+                                  np.hstack([arrays[h + "w"] for h in heads]))
+            assert np.array_equal(stacks["layer%d.a_left" % layer].data,
+                                  [arrays[h + "al"] for h in heads])
+            assert np.array_equal(stacks["layer%d.a_right" % layer].data,
+                                  [arrays[h + "ar"] for h in heads])
+        corpus, _ = feature_corpus(n=16, seed=5)
+        assert np.array_equal(
+            symmetric_scores(corpus.rows, VariantScorer(back)),
+            symmetric_scores(corpus.rows, VariantScorer(source)))
+
+    def test_save_load_save_writes_the_same_bytes(self, tmp_path):
+        model = init_model(ModelConfig(n=16, k=2, heads=4), seed=6)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(first, model)
+        save_model(second, load_model(first))
+        for suffix in ("", ".config.json"):
+            assert (pathlib.Path(str(first) + suffix).read_bytes()
+                    == pathlib.Path(str(second) + suffix).read_bytes())
 
     def test_dimension_consistency_enforced(self):
         model = small_pixel_model(seed=21)

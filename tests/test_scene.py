@@ -334,7 +334,9 @@ def test_save_dataset_failure_keeps_previous_files(tmp_path, monkeypatch):
     entries, _ = sc.ground_truth_pairs(fa, fb)
     sc.save_dataset(tmp_path, [fb], entries[:3])
     before = {name: (tmp_path / name).read_bytes()
-              for name in ("manifest.jsonl", "pairs.csv")}
+              for name in ["manifest.jsonl", "pairs.csv"]
+              + [str(p.relative_to(tmp_path))
+                 for p in (tmp_path / "images").iterdir()]}
 
     write_image, written = sc.write_image, []
 
@@ -342,13 +344,13 @@ def test_save_dataset_failure_keeps_previous_files(tmp_path, monkeypatch):
         if len(written) == len(fa.patches):  # the first image of fb
             raise OSError("disk full")
         written.append(path)
-        write_image(path, pixels)
+        return write_image(path, pixels)
 
     monkeypatch.setattr(sc, "write_image", failing_write_image)
     with pytest.raises(OSError, match="disk full"):
         sc.save_dataset(tmp_path, [fa, fb], entries)
     assert {name: (tmp_path / name).read_bytes() for name in before} == before
-    assert not list(tmp_path.glob("*.tmp"))
+    assert not list(tmp_path.glob("**/*.tmp"))
 
     # a fault in pairs.csv, after the manifest is complete
     monkeypatch.setattr(sc, "write_image", write_image)
@@ -360,7 +362,7 @@ def test_save_dataset_failure_keeps_previous_files(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         sc.save_dataset(tmp_path, [fa, fb], failing_pairs())
     assert {name: (tmp_path / name).read_bytes() for name in before} == before
-    assert not list(tmp_path.glob("*.tmp"))
+    assert not list(tmp_path.glob("**/*.tmp"))
 
 
 def test_load_dataset_empty_manifest(tmp_path):

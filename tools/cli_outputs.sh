@@ -12,7 +12,8 @@
 # reports and log lines record (train_report.json's checkpoint) agree
 # between the two trees.
 #
-# Besides every model command for each architecture and pool, it runs the
+# Besides every model command for each architecture and pool, it runs
+# train, eval and place for gat at 1 and 2 heads (the default is 4), the
 # two ground-truth oracles (eval --perfect-oracle, stereo with
 # stereo.oracle_match=true), verify-theory with small model counts, and
 # place on a one-scene dataset (two frames, so one frame pair) with
@@ -54,6 +55,14 @@ for arch in gcn gat sage; do
         pg place --data data --checkpoint "$ckpt" --out "$run/place"
         pg stereo --checkpoint "$ckpt" --out "$run/stereo"
     done
+done
+for heads in 1 2; do
+    run=gat-heads$heads
+    pg train --data data --out "$run/train" $small --set model.heads=$heads
+    pg eval --data data --checkpoint "$run/train/model.json" \
+        --out "$run/eval"
+    pg place --data data --checkpoint "$run/train/model.json" \
+        --out "$run/place"
 done
 pg train --data data --out tiny_conv/train $small \
     --set model.featurizer=tiny_conv
