@@ -218,7 +218,7 @@ def cmd_match(cfg, seed, out_dir, args):
                             ", ".join(sorted(by_id) or ["none"])))
     model = load_model(args.checkpoint)
     fa, fb = by_id[args.frame_a], by_id[args.frame_b]
-    scores = score_matrix(fa, fb, model).scores
+    scores = score_matrix(fa, fb, model)
     gamma = cfg["model.gamma"]
     rows = []
     for i, pa in enumerate(fa.patches):
@@ -277,8 +277,14 @@ def cmd_ablate(cfg, seed, out_dir, args):
 
 def cmd_place(cfg, seed, out_dir, args):
     frames, _ = _load_corpus(args.data)
+    for f in frames:
+        if not f.patches:
+            print("warning: frame %s has no patches; left out of place "
+                  "recognition" % f.frame_id, file=sys.stderr)
+    frames = [f for f in frames if f.patches]
     if len(frames) < 2:
-        raise ValueError("place recognition needs at least two frames")
+        raise ValueError("place recognition needs at least two frames "
+                         "with patches")
     model = load_model(args.checkpoint)
     pairs = [(frames[i], frames[j]) for i in range(len(frames))
              for j in range(i + 1, len(frames))]

@@ -28,64 +28,37 @@ VAL_FRACTION = 0.5
 SINKHORN_RESIDUAL_TOL = 1e-6
 
 
-@dataclass
-class ScoreMatrix:
-    scores: np.ndarray          # (A, B), entries in [0, 1]
-    dustbin: float = DUSTBIN_DEFAULT
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if self.scores.ndim != 2 or min(self.scores.shape) < 1:
-            raise ValueError("score matrix must be 2-d and nonempty")
-        if not np.all(np.isfinite(self.scores)):
-            raise ValueError("score matrix has non-finite entries")
-        if np.any(self.scores < 0.0) or np.any(self.scores > 1.0):
-            raise ValueError("match scores must lie in [0, 1]")
-        if not math.isfinite(self.dustbin):
-            raise ValueError("dustbin score must be finite")
-
-
-@dataclass
-class PartialAssignment:
-    plan: np.ndarray            # (A+1, B+1), dustbin-augmented
-    row_residual: float
-    col_residual: float
-
-    @property
-    def interior(self):
-        return self.plan[:-1, :-1]
-
-
-def score_matrix(frame_a, frame_b, model, scorer=None, dustbin=DUSTBIN_DEFAULT,
-                 cache=None):
-    """S[i][j] = symmetric match score between patch i of frame A and
-    patch j of frame B, scored as one batch; embeddings are computed once
-    per patch, and once across calls that share ``cache`` (a
+def score_matrix(frame_a, frame_b, model, scorer=None, cache=None):
+    """The (A, B) array S[i][j] = symmetric match score between patch i of
+    frame A and patch j of frame B, scored as one batch; embeddings are
+    computed once per patch, and once across calls that share ``cache`` (a
     ``matching.FrameIndex``)."""
     if not frame_a.patches or not frame_b.patches:
         raise ValueError("both frames need at least one patch")
     scorer = VariantScorer(model) if scorer is None else scorer
     rows = [(pa, frame_a, pb, frame_b) for pa in frame_a.patches
             for pb in frame_b.patches]
-    out = np.reshape(symmetric_scores(rows, scorer, cache),
-                     (len(frame_a.patches), len(frame_b.patches)))
-    return ScoreMatrix(out, dustbin=dustbin)
+    return np.reshape(symmetric_scores(rows, scorer, cache),
+                      (len(frame_a.patches), len(frame_b.patches)))
 
 
-def sinkhorn_assign(score, iterations=SINKHORN_ITERS, tau=SINKHORN_TAU):
-    """Log-domain Sinkhorn over the dustbin-augmented score matrix.
+def sinkhorn_assign(scores, dustbin=DUSTBIN_DEFAULT, iterations=SINKHORN_ITERS,
+                    tau=SINKHORN_TAU):
+    """Log-domain Sinkhorn over the (A, B) scores augmented with a dustbin
+    row and column that score ``dustbin``.
 
     Marginals follow the partial-assignment convention: every real patch
     carries unit mass, and each dustbin can absorb the entire other side
-    (row marginals [1..1, B], column marginals [1..1, A]).
+    (row marginals [1..1, B], column marginals [1..1, A]).  Returns the
+    (A+1, B+1) plan and its largest row or column marginal error.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
     if tau <= 0.0:
         raise ValueError("temperature must be positive")
-    a, b = score.scores.shape
-    cost = np.full((a + 1, b + 1), score.dustbin)
-    cost[:a, :b] = score.scores
+    a, b = scores.shape
+    cost = np.full((a + 1, b + 1), dustbin)
+    cost[:a, :b] = scores
     log_k = cost / tau
     log_mu = np.concatenate([np.zeros(a), [math.log(b)]])
     log_nu = np.concatenate([np.zeros(b), [math.log(a)]])
@@ -97,7 +70,7 @@ def sinkhorn_assign(score, iterations=SINKHORN_ITERS, tau=SINKHORN_TAU):
     plan = np.exp(log_k + u[:, None] + v[None, :])
     row_res = float(np.max(np.abs(plan[:a].sum(axis=1) - 1.0)))
     col_res = float(np.max(np.abs(plan[:, :b].sum(axis=0) - 1.0)))
-    return PartialAssignment(plan, row_res, col_res)
+    return plan, max(row_res, col_res)
 
 
 def _lse(m, axis):
@@ -106,13 +79,14 @@ def _lse(m, axis):
                                   keepdims=True))).squeeze(axis)
 
 
-def frame_match_score(score, assignment):
-    """Assignment-weighted mean score: sum(S * P_interior) / min(A, B)."""
-    interior = assignment.interior
-    if interior.shape != score.scores.shape:
-        raise ValueError("assignment shape %r does not match scores %r"
-                         % (interior.shape, score.scores.shape))
-    return float(np.sum(score.scores * interior) / min(score.scores.shape))
+def frame_match_score(scores, plan):
+    """Assignment-weighted mean score: sum(S * P_interior) / min(A, B),
+    where P_interior is the plan without its dustbin row and column."""
+    interior = plan[:-1, :-1]
+    if interior.shape != scores.shape:
+        raise ValueError("plan shape %r does not match scores %r plus "
+                         "dustbins" % (plan.shape, scores.shape))
+    return float(np.sum(scores * interior) / min(scores.shape))
 
 
 def same_place_label(frame_a, frame_b, radius=SAME_PLACE_RADIUS_M):
@@ -170,10 +144,9 @@ def place_recognition_eval(frame_pairs, model, threshold=None, seed=0,
     residual = 0.0
     for fa, fb in frame_pairs:
         label = same_place_label(fa, fb, radius)
-        s = score_matrix(fa, fb, model, scorer=scorer, dustbin=dustbin,
-                         cache=cache)
-        plan = sinkhorn_assign(s, iterations=iterations, tau=tau)
-        residual = max(residual, plan.row_residual, plan.col_residual)
+        s = score_matrix(fa, fb, model, scorer=scorer, cache=cache)
+        plan, pair_residual = sinkhorn_assign(s, dustbin, iterations, tau)
+        residual = max(residual, pair_residual)
         value = frame_match_score(s, plan)
         scored.append((fa.frame_id, fb.frame_id, value, label))
     if threshold is None:

@@ -118,9 +118,10 @@ class Patch:
                              % (self.patch_id, self.bbox))
         self.bbox = bbox
         self.pixels = np.asarray(self.pixels, dtype=np.uint8)
-        if self.pixels.ndim != 2 or self.pixels.size == 0:
-            raise ValueError("patch %s: pixels of shape %r are not a "
-                             "non-empty HxW block"
+        # the histogram descriptor's gradients need 2 pixels along each axis
+        if self.pixels.ndim != 2 or min(self.pixels.shape) < 2:
+            raise ValueError("patch %s: pixels of shape %r are not an HxW "
+                             "block of at least 2x2"
                              % (self.patch_id, self.pixels.shape))
         self.loc3d = _point(self.loc3d, "patch %s: loc3d" % self.patch_id)
 

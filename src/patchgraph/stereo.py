@@ -69,8 +69,7 @@ def estimate_depths(left_frame, right_frame, model, geometry,
                     threshold=STEREO_MATCH_THRESHOLD, scorer=None):
     """Match every left patch to its best-scoring right patch; pairs above
     the threshold yield depth estimates.  Frames must be rectified."""
-    scores = score_matrix(left_frame, right_frame, model,
-                          scorer=scorer).scores
+    scores = score_matrix(left_frame, right_frame, model, scorer=scorer)
     out = []
     for i, left in enumerate(left_frame.patches):
         j = int(scores[i].argmax())

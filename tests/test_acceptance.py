@@ -28,6 +28,7 @@ import time
 import numpy as np
 
 import patchgraph.autodiff as ad
+from patchgraph.cli import OracleScorer
 from patchgraph.features import extract_conv, init_featurizer
 from patchgraph.gnn import embed_graph, init_gnn
 from patchgraph.infotheory import (
@@ -52,7 +53,7 @@ from patchgraph.matching import (
     match_score,
     train,
 )
-from patchgraph.placerec import ScoreMatrix, sinkhorn_assign
+from patchgraph.placerec import sinkhorn_assign
 from patchgraph.scene import (
     Frame,
     Landmark3D,
@@ -96,20 +97,6 @@ def two_pair_batch(rng, seed, featurizer):
     fa, fb = make_frame("f0", pa), make_frame("f1", pb)
     batch = [(pa[0], fa, pb[0], fb, 1), (pa[1], fa, pb[2], fb, 0)]
     return model, batch
-
-
-class OracleScorer:
-    """Scores by ground-truth landmark identity; geometry tests only."""
-
-    def score_rows(self, rows, cache=None):
-        s = ad.constant([
-            0.99 if patch_x.landmark_id is not None
-            and patch_x.landmark_id == patch_y.landmark_id else 0.01
-            for patch_x, _, patch_y, _, *_ in rows])
-        return s, s
-
-    def trainable(self):
-        return []
 
 
 # -- criterion 1: gradient fidelity ------------------------------------------
@@ -434,11 +421,10 @@ def test_criterion_08_sinkhorn():
         perm = rng.permutation(10)
         scores = 0.05 + 0.10 * rng.uniform(size=(10, 10))
         scores[np.arange(10), perm] = 0.85 + 0.10 * rng.uniform(size=10)
-        plan = sinkhorn_assign(ScoreMatrix(scores, dustbin=0.2),
-                               iterations=100, tau=0.1)
-        assert plan.row_residual < 1e-6
-        assert plan.col_residual < 1e-6
-        recovered += sum(int(np.argmax(plan.plan[i]) == perm[i])
+        plan, residual = sinkhorn_assign(scores, dustbin=0.2,
+                                         iterations=100, tau=0.1)
+        assert residual < 1e-6
+        recovered += sum(int(np.argmax(plan[i]) == perm[i])
                          for i in range(10))
     assert recovered >= 0.95 * 200, "recovered %d/200" % recovered
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -275,6 +276,25 @@ class TestPlace:
         assert residuals["1"][0] > 1e-6 and residuals["1"][1]
         assert residuals["100"][0] <= 1e-6 and not residuals["100"][1]
 
+    def test_patchless_frame_is_left_out(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], str(data))
+        manifest = data / "manifest.jsonl"
+        frames = [json.loads(line) for line in manifest.read_text().splitlines()]
+        frames[1]["patches"] = []
+        manifest.write_text("".join(json.dumps(f) + "\n" for f in frames))
+        out = str(tmp_path / "p")
+        capsys.readouterr()
+        assert main(["place", "--data", str(data), "--out", out,
+                     "--checkpoint", workspace["checkpoint"],
+                     "--set", "place.iters=50"]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if "has no patches" in line]
+        assert warnings == ["warning: frame %s has no patches; left out of "
+                            "place recognition" % frames[1]["frame_id"]]
+        rep = read_json(os.path.join(out, "place_report.json"))
+        assert rep["total_pairs"] == 3  # the 3 frames with patches
+
     def test_one_frame_pair_needs_a_fixed_threshold(self, tmp_path, capsys):
         data, run = str(tmp_path / "data"), str(tmp_path / "run")
         one_scene = TINY_SYNTH + ["--set", "synth.scenes=1"]
@@ -509,11 +529,14 @@ class TestErrors:
             outputs.append(open(str(tmp_path / out / "eval_pairs.csv")).read())
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("image", [b"P6\n2 2\n255\n" + bytes(12),
-                                       b"P5\n3 2\n"],
-                             ids=["rgb", "header_cut_before_maxval"])
+    @pytest.mark.parametrize("image,reason", [
+        (b"P6\n2 2\n255\n" + bytes(12), "unreadable image"),
+        (b"P5\n3 2\n", "unreadable image"),
+        # a valid PGM, too small for the descriptor's gradients
+        (b"P5\n5 1\n255\n" + bytes(5), "pixels of shape (1, 5)")],
+        ids=["rgb", "header_cut_before_maxval", "5x1"])
     def test_unreadable_patch_image_is_a_warning(self, tmp_path, capsys,
-                                                 image):
+                                                 image, reason):
         data = tmp_path / "data"
         assert main(["synth", "--seed", "3", "--out", str(data)]
                     + TINY_SYNTH) == 0
@@ -525,8 +548,9 @@ class TestErrors:
                      str(tmp_path / "run")]
                     + TINY_MODEL + TINY_TRAIN) == 0
         warnings = [line for line in capsys.readouterr().err.splitlines()
-                    if line.startswith("warning:") and bad in line]
-        assert any("unreadable image" in line for line in warnings)
+                    if line.startswith("warning: record ")
+                    and ": patch %s: " % bad in line]
+        assert len(warnings) == 1 and reason in warnings[0]
 
     def test_bad_patch_records_are_warnings(self, tmp_path, capsys):
         # one image path that is a directory and one 2-vector loc3d: train

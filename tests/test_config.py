@@ -126,9 +126,10 @@ class TestValidationAggregation:
         assert any("mean/max" in s for s in exc.value.problems)
 
     def test_nan_and_inf_rejected(self):
-        for bad in ("nan", "inf", "-inf"):
-            with pytest.raises(ConfigError):
-                load_config(None, ["model.gamma=%s" % bad])
+        for key in ("model.gamma", "place.dustbin"):
+            for bad in ("nan", "inf", "-inf"):
+                with pytest.raises(ConfigError):
+                    load_config(None, ["%s=%s" % (key, bad)])
 
     def test_gamma_range(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 """Tests for scene generation, projection, labeling and dataset IO."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -470,6 +471,14 @@ def _image_is_directory(keep_checksum):
     return edit
 
 
+def _image_5x1(records, root):
+    # a valid PGM, 5 pixels wide and 1 high, with its checksum updated:
+    # too small for the descriptor's gradients
+    rec = records[0]["patches"][0]
+    data = sc.write_image(root / rec["image"], np.zeros((1, 5), np.uint8))
+    rec["sha256"] = hashlib.sha256(data).hexdigest()
+
+
 def _repeat_frame_id(records, root):
     records[1]["frame_id"] = records[0]["frame_id"]
 
@@ -484,6 +493,7 @@ BAD_RECORDS = {
     "frame_id_list": (_set_frame("frame_id", ["x"]), 0, True),
     "image_directory": (_image_is_directory(False), 0, False),
     "image_directory_with_checksum": (_image_is_directory(True), 0, False),
+    "image_5x1": (_image_5x1, 0, False),
     "position_nan": (_set_frame("position", [float("nan"), 0, 0]), 0, True),
     "position_short": (_set_frame("position", [0, 0]), 0, True),
     "frame_id_repeated": (_repeat_frame_id, 1, True),

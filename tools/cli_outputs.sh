@@ -17,13 +17,16 @@
 # two ground-truth oracles (eval --perfect-oracle, stereo with
 # stereo.oracle_match=true), verify-theory with small model counts, and
 # place on a one-scene dataset (two frames, so one frame pair) with
-# threshold tuning on and off.
+# threshold tuning on and off.  place on the gcn-mean checkpoint runs
+# again with place.dustbin=0.5 and with place.iters=2, whose unconverged
+# plans take the Sinkhorn residual warning path.
 #
-# The last block runs train and place on data-bad, a copy of the dataset
-# with three bad records (an image path that is a directory, a 2-vector
-# loc3d, a NaN frame position), so the comparison covers the diagnostics
-# path too, and an eval that fails at run time (exit 1), which must leave
-# no fail/eval directory behind.
+# The last blocks run place on data-empty, a copy of the dataset whose
+# first frame has no patches (left out with a warning); train and place on
+# data-bad, a copy of the dataset with three bad records (an image path
+# that is a directory, a 2-vector loc3d, a NaN frame position), so the
+# comparison covers the diagnostics path too; and an eval that fails at
+# run time (exit 1), which must leave no fail/eval directory behind.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -80,6 +83,23 @@ pg place --data data-two --checkpoint two/train/model.json \
     --out two/place-tuned
 pg place --data data-two --checkpoint two/train/model.json \
     --set place.tune=false --out two/place-fixed
+pg place --data data --checkpoint gcn-mean/train/model.json \
+    --set place.dustbin=0.5 --out gcn-mean/place-dustbin
+pg place --data data --checkpoint gcn-mean/train/model.json \
+    --set place.iters=2 --out gcn-mean/place-iters2
+
+cp -r data data-empty
+python3 - <<'EOF_EMPTY'
+import json
+path = "data-empty/manifest.jsonl"
+with open(path) as fh:
+    frames = [json.loads(line) for line in fh]
+frames[0]["patches"] = []
+with open(path, "w") as fh:
+    fh.writelines(json.dumps(frame) + "\n" for frame in frames)
+EOF_EMPTY
+pg place --data data-empty --checkpoint gcn-mean/train/model.json \
+    --out empty/place
 
 cp -r data data-bad
 python3 - <<'EOF_BAD'
