@@ -51,6 +51,11 @@ def sinkhorn_assign(scores, dustbin=DUSTBIN_DEFAULT, iterations=SINKHORN_ITERS,
     carries unit mass, and each dustbin can absorb the entire other side
     (row marginals [1..1, B], column marginals [1..1, A]).  Returns the
     (A+1, B+1) plan and its largest row or column marginal error.
+
+    ``iterations`` is a cap: the loop stops at the first iteration that
+    leaves ``v`` unchanged bit for bit.  ``u`` is computed from ``v``
+    alone, so every later iteration would repeat the same bits, and the
+    plan and residual are those of the full ``iterations``.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
@@ -65,8 +70,12 @@ def sinkhorn_assign(scores, dustbin=DUSTBIN_DEFAULT, iterations=SINKHORN_ITERS,
     u = np.zeros(a + 1)
     v = np.zeros(b + 1)
     for _ in range(iterations):
+        last = v
         u = log_mu - _lse(log_k + v[None, :], axis=1)
         v = log_nu - _lse(log_k + u[:, None], axis=0)
+        # bits, not values: == takes -0.0 for 0.0 and never matches NaN
+        if v.tobytes() == last.tobytes():
+            break
     plan = np.exp(log_k + u[:, None] + v[None, :])
     row_res = float(np.max(np.abs(plan[:a].sum(axis=1) - 1.0)))
     col_res = float(np.max(np.abs(plan[:, :b].sum(axis=0) - 1.0)))

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import patchgraph.autodiff as ad
 import patchgraph.matching as matching
+import patchgraph.placerec as placerec
 from patchgraph.matching import ModelConfig, init_model, match_score
 from patchgraph.placerec import (
     DUSTBIN_DEFAULT,
@@ -29,6 +31,38 @@ def make_frame(fid, count, position, rng):
                for i in range(count)]
     cam = standard_camera(position=position)
     return Frame(fid, cam, np.asarray(position, dtype=np.float64), patches)
+
+
+def full_sinkhorn(scores, dustbin, iterations, tau):
+    """``sinkhorn_assign`` without its early exit: always runs
+    ``iterations``, with the same expressions."""
+    a, b = scores.shape
+    cost = np.full((a + 1, b + 1), dustbin)
+    cost[:a, :b] = scores
+    log_k = cost / tau
+    log_mu = np.concatenate([np.zeros(a), [math.log(b)]])
+    log_nu = np.concatenate([np.zeros(b), [math.log(a)]])
+    u = np.zeros(a + 1)
+    v = np.zeros(b + 1)
+    for _ in range(iterations):
+        u = log_mu - placerec._lse(log_k + v[None, :], axis=1)
+        v = log_nu - placerec._lse(log_k + u[:, None], axis=0)
+    plan = np.exp(log_k + u[:, None] + v[None, :])
+    row_res = float(np.max(np.abs(plan[:a].sum(axis=1) - 1.0)))
+    col_res = float(np.max(np.abs(plan[:, :b].sum(axis=0) - 1.0)))
+    return plan, max(row_res, col_res)
+
+
+def count_lse_calls(monkeypatch):
+    calls = []
+    original = placerec._lse
+
+    def counted(m, axis):
+        calls.append(axis)
+        return original(m, axis)
+
+    monkeypatch.setattr(placerec, "_lse", counted)
+    return calls
 
 
 class TestScoreMatrix:
@@ -112,6 +146,33 @@ class TestSinkhorn:
             plan = sinkhorn_assign(s)[0][:-1, :-1]
             hits += int(np.array_equal(plan.argmax(axis=1), perm))
         assert hits == 20
+
+    @pytest.mark.parametrize("tau", [0.1, 0.05])
+    @pytest.mark.parametrize("iterations", [1, 2, 7, 100, 300])
+    @pytest.mark.parametrize("dustbin", [0.2, 0.5, -5.0])
+    def test_early_exit_matches_full_run(self, dustbin, iterations, tau):
+        # stopping at the bitwise fixed point of v leaves the plan and the
+        # residual byte-identical to running every iteration
+        rng = np.random.default_rng(iterations)
+        shapes = [(1, 1), (1, 4), (1, 12), (5, 1), (12, 1), (3, 7),
+                  (8, 2), (12, 12)]
+        shapes += [tuple(rng.integers(1, 13, size=2)) for _ in range(4)]
+        cases = [rng.uniform(0.0, 1.0, size=shape) for shape in shapes]
+        cases += [np.full(shape, value) for shape, value in
+                  [((1, 1), 0.5), ((4, 4), 0.7), ((3, 9), 0.0),
+                   ((12, 5), 1.0), ((1, 6), 0.3), ((6, 1), 0.9)]]
+        for scores in cases:
+            plan, residual = sinkhorn_assign(scores, dustbin, iterations, tau)
+            want_plan, want_residual = full_sinkhorn(scores, dustbin,
+                                                     iterations, tau)
+            assert plan.tobytes() == want_plan.tobytes()
+            assert residual.hex() == want_residual.hex()
+
+    def test_early_exit_fires(self, monkeypatch):
+        calls = count_lse_calls(monkeypatch)
+        scores = np.random.default_rng(5).uniform(0.0, 1.0, size=(6, 8))
+        sinkhorn_assign(scores)
+        assert 0 < len(calls) < 200
 
     def test_parameter_validation(self):
         s = np.full((2, 2), 0.5)
@@ -304,6 +365,22 @@ class TestPlaceRecognitionEval:
         # leave a residual of about 5e-3, which ``place`` warns about
         if dustbin == DUSTBIN_DEFAULT:
             assert want < 1e-6
+
+    def test_iterations_cap_binds_when_unconverged(self, monkeypatch):
+        # at dustbin -5.0 these frames' plans reach no fixed point within
+        # 100 iterations, so each pair runs all of them and stops short of
+        # where 200 iterations take it
+        rng = np.random.default_rng(14)
+        model = init_model(ModelConfig(n=4, k=2), seed=8)
+        calls = count_lse_calls(monkeypatch)
+        for fa, fb in self._pairs(rng)[:3]:
+            s = score_matrix(fa, fb, model)
+            calls.clear()
+            plan, residual = sinkhorn_assign(s, dustbin=-5.0, iterations=100)
+            assert len(calls) == 200
+            assert residual > 1e-3
+            longer, _ = full_sinkhorn(s, -5.0, 200, placerec.SINKHORN_TAU)
+            assert plan.tobytes() != longer.tobytes()
 
     def test_radius_sets_the_same_place_label(self):
         rng = np.random.default_rng(13)

@@ -18,8 +18,11 @@
 # stereo.oracle_match=true), verify-theory with small model counts, and
 # place on a one-scene dataset (two frames, so one frame pair) with
 # threshold tuning on and off.  place on the gcn-mean checkpoint runs
-# again with place.dustbin=0.5 and with place.iters=2, whose unconverged
-# plans take the Sinkhorn residual warning path.
+# again with place.dustbin=0.5; with place.iters=2 and with
+# place.dustbin=-5, where the place.iters cap stops the plans (all of
+# them at 2, most at -5) unconverged, so they take the Sinkhorn residual
+# warning path; and with place.iters=400, where every plan reaches its
+# bitwise fixed point (Sinkhorn's early exit) long before the cap.
 #
 # The last blocks run place on data-empty, a copy of the dataset whose
 # first frame has no patches (left out with a warning); train and place on
@@ -87,6 +90,10 @@ pg place --data data --checkpoint gcn-mean/train/model.json \
     --set place.dustbin=0.5 --out gcn-mean/place-dustbin
 pg place --data data --checkpoint gcn-mean/train/model.json \
     --set place.iters=2 --out gcn-mean/place-iters2
+pg place --data data --checkpoint gcn-mean/train/model.json \
+    --set place.dustbin=-5 --out gcn-mean/place-dustbin-5
+pg place --data data --checkpoint gcn-mean/train/model.json \
+    --set place.iters=400 --out gcn-mean/place-iters400
 
 cp -r data data-empty
 python3 - <<'EOF_EMPTY'
