@@ -87,9 +87,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_wrap(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
 
@@ -207,13 +204,6 @@ def mul(a, b):
     return _make(a.data * b.data, (a, b),
                  (lambda g: _unbroadcast(g * b.data, a.data.shape),
                   lambda g: _unbroadcast(g * a.data, b.data.shape)))
-
-
-def div(a, b):
-    return _make(a.data / b.data, (a, b),
-                 (lambda g: _unbroadcast(g / b.data, a.data.shape),
-                  lambda g: _unbroadcast(-g * a.data / (b.data * b.data),
-                                         b.data.shape)))
 
 
 def matmul(a, b):
@@ -386,12 +376,12 @@ def leaky_relu(a, slope=0.2):
     return _make(y, (a,), (lambda g: g * np.where(x > 0, 1.0, slope),))
 
 
-def elu(a, alpha=1.0):
+def elu(a):
     x = a.data
-    neg_part = alpha * (np.exp(np.minimum(x, 0.0)) - 1.0)
+    neg_part = np.exp(np.minimum(x, 0.0)) - 1.0
     y = np.where(x > 0, x, neg_part)
     return _make(y, (a,),
-                 (lambda g: g * np.where(x > 0, 1.0, neg_part + alpha),))
+                 (lambda g: g * np.where(x > 0, 1.0, neg_part + 1.0),))
 
 
 def log(a):

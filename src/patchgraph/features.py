@@ -33,8 +33,8 @@ class FeaturizerParams:
     def trainable(self):
         return [t for t in self.tensors.values() if t.requires_grad]
 
-    def named_tensors(self, prefix="featurizer."):
-        return {prefix + k: v for k, v in self.tensors.items()}
+    def named_tensors(self):
+        return {"featurizer." + k: v for k, v in self.tensors.items()}
 
 
 def _conv_channels(n):

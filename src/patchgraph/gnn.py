@@ -39,21 +39,21 @@ class GnnParams:
     def trainable(self):
         return [t for t in self.tensors.values() if t.requires_grad]
 
-    def named_tensors(self, prefix="gnn."):
+    def named_tensors(self):
         """Checkpoint entries.  A gat layer's stacked tensors appear per
         head, as ``layer{L}.head{h}.{w,al,ar}``: fresh views into the
         stacks, so writing into a view's data writes the stack.  Views are
         made anew on every call, since ``adam_step`` rebinds the stacks'
         data."""
         if self.architecture != "gat":
-            return {prefix + k: v for k, v in self.tensors.items()}
+            return {"gnn." + k: v for k, v in self.tensors.items()}
         out = {}
         for layer in range(1, NUM_LAYERS + 1):
             w, al, ar = (self.tensors["layer%d.%s" % (layer, k)].data
                          for k in ("w", "a_left", "a_right"))
             heads, dh = al.shape
             for h in range(heads):
-                head = "%slayer%d.head%d." % (prefix, layer, h)
+                head = "gnn.layer%d.head%d." % (layer, h)
                 out[head + "w"] = ad.constant(w[:, h * dh:(h + 1) * dh])
                 out[head + "al"] = ad.constant(al[h])
                 out[head + "ar"] = ad.constant(ar[h])
@@ -138,13 +138,13 @@ def gat_layer(x, w, a_left, a_right, activation=ad.elu):
     return activation(ad.reshape(out, lead + (heads * dh,)))
 
 
-def sage_layer(x, w, activation=ad.relu):
-    """act([x_i | mean of neighbor features] @ W); a lone vertex aggregates
-    a zero vector."""
+def sage_layer(x, w):
+    """relu([x_i | mean of neighbor features] @ W); a lone vertex
+    aggregates a zero vector."""
     v = x.data.shape[-2]
     mean_op = (1.0 - np.eye(v)) / max(v - 1, 1)
     neigh = ad.constant(mean_op) @ x
-    return activation(ad.concat([x, neigh]) @ w)
+    return ad.relu(ad.concat([x, neigh]) @ w)
 
 
 def _run_layer(x, params, layer):

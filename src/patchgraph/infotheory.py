@@ -343,21 +343,22 @@ def random_pair_model(rng, support_size=None, corruption=False):
     )
 
 
-def ideal_pair_model(k_matched=3, k_unmatched=3, prior=0.5):
-    """Noiseless graph context with disjoint clean supports.
+def ideal_pair_model():
+    """Noiseless graph context with disjoint clean supports: six outcomes,
+    matched pairs on the first three and unmatched pairs on the last
+    three, prior 0.5.
 
     Masses are dyadic so every sum in the total-variation computation is
     exact in binary floating point: the TV must come out as exactly 1.0.
     """
-    k = k_matched + k_unmatched
-    q_mc = np.zeros(k)
-    q_mc[:k_matched] = _dyadic_masses(k_matched)
-    q_ux = np.zeros(k)
-    q_ux[k_matched:] = _dyadic_masses(k_unmatched)
-    filler = np.full(k, 1.0 / k)
+    q_mc = np.zeros(6)
+    q_mc[:3] = _dyadic_masses(3)
+    q_ux = np.zeros(6)
+    q_ux[3:] = _dyadic_masses(3)
+    filler = np.full(6, 1.0 / 6)
     filler = filler / filler.sum()
     return DiscretePairModel.from_corruption(
-        prior, m_match=1.0, m_unmatch=0.0,
+        0.5, m_match=1.0, m_unmatch=0.0,
         q_match_clean=q_mc, q_match_corrupt=filler,
         q_unmatch_clean=filler, q_unmatch_corrupt=q_ux,
     )

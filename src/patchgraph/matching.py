@@ -25,7 +25,6 @@ loss over labeled pairs.
 import json
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -96,8 +95,8 @@ class DiscriminatorParams:
     def trainable(self):
         return [t for t in self.blocks().values() if t.requires_grad]
 
-    def named_tensors(self, prefix="disc."):
-        return {prefix + k: v for k, v in self.blocks().items()}
+    def named_tensors(self):
+        return {"disc." + k: v for k, v in self.blocks().items()}
 
     def full_matrix(self):
         """The assembled 2n x 3n matrix with structural zero blocks."""
@@ -644,37 +643,41 @@ def train(corpus, model, train_config, scorer=None):
 
 # -- evaluation ---------------------------------------------------------------
 
-def confusion(decisions, labels):
-    """Counts (tp, fp, fn, tn) of 0/1 decisions against 0/1 labels."""
-    counts = Counter((bool(d), bool(y)) for d, y in zip(decisions, labels))
-    return (counts[True, True], counts[True, False], counts[False, True],
-            counts[False, False])
+def confusion(scores, labels, thresholds):
+    """Counts (tp, fp, fn, tn) of the decisions ``score > t`` against 0/1
+    labels: Python ints for one threshold ``t``, int arrays for an array
+    of them.  One stable sort serves every threshold: the labels'
+    cumulative positive count, read where each threshold cuts the sorted
+    scores, gives the positives decided negative."""
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(scores, kind="stable")
+    pos_below = np.concatenate(
+        [[0], np.cumsum(np.asarray(labels, dtype=bool)[order])])
+    cut = np.searchsorted(scores[order], thresholds, side="right")
+    fn = pos_below[cut]
+    tp = pos_below[-1] - fn
+    fp = len(scores) - cut - tp
+    tn = cut - fn
+    if np.ndim(cut) == 0:
+        return int(tp), int(fp), int(fn), int(tn)
+    return tp, fp, fn, tn
 
 
 def _roc_auc(scores, labels):
-    """Trapezoidal area under the ROC curve; tied scores move together."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    npos = int(np.sum(labels == 1))
-    nneg = int(np.sum(labels == 0))
-    if npos == 0 or nneg == 0:
+    """Trapezoidal area under the ROC curve, or None with one class only.
+
+    The curve's points are the counts at the cut just below each distinct
+    score, highest first, so tied scores move together (Fawcett 2006).
+    The trapezoids add up one at a time in curve order: the pairwise sum
+    of ``np.sum`` can move the last bit."""
+    if all(labels) or not any(labels):
         return None
-    order = np.argsort(-scores, kind="stable")
-    auc = 0.0
-    tp = fp = 0
-    prev_tpr = prev_fpr = 0.0
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and scores[order[j]] == scores[order[i]]:
-            tp += int(labels[order[j]] == 1)
-            fp += int(labels[order[j]] == 0)
-            j += 1
-        tpr, fpr = tp / npos, fp / nneg
-        auc += (fpr - prev_fpr) * (tpr + prev_tpr) / 2.0
-        prev_tpr, prev_fpr = tpr, fpr
-        i = j
-    return auc
+    ordered = np.sort(np.asarray(scores, dtype=np.float64))
+    distinct = ordered[np.append(ordered[1:] != ordered[:-1], True)][::-1]
+    tp, fp, _, _ = confusion(scores, labels, np.nextafter(distinct, -np.inf))
+    tpr = np.append(0.0, tp / tp[-1])
+    fpr = np.append(0.0, fp / fp[-1])
+    return float(np.cumsum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0)[-1])
 
 
 def evaluate(corpus, model, gamma=None, scorer=None):
@@ -689,7 +692,7 @@ def evaluate(corpus, model, gamma=None, scorer=None):
     scorer = VariantScorer(model) if scorer is None else scorer
     scores = symmetric_scores(corpus.rows, scorer)
     labels = corpus.labels()
-    tp, fp, fn, tn = confusion([s > gamma for s in scores], labels)
+    tp, fp, fn, tn = confusion(scores, labels, gamma)
     undefined = []
 
     def ratio(num, den, name):

@@ -113,12 +113,12 @@ def tune_threshold(scores, labels):
     point."""
     if len(scores) == 0:
         raise ValueError("no validation pairs to tune on")
-    best_f1, best_t = -1.0, 0.5
     candidates = sorted({0.0, *scores})
-    for t in candidates:
-        tp, fp, fn, _ = confusion([s > t for s in scores], labels)
-        f1 = _f1(tp, fp, fn)
-        if f1 > best_f1 + 1e-9 or (abs(f1 - best_f1) <= 1e-9 and t < best_t):
+    tp, fp, fn, _ = confusion(scores, labels, candidates)
+    best_f1 = -1.0
+    for t, f1 in zip(candidates, map(_f1, tp.tolist(), fp.tolist(),
+                                     fn.tolist())):
+        if f1 > best_f1 + 1e-9:
             best_f1, best_t = f1, t
     return best_t
 
@@ -171,7 +171,8 @@ def place_recognition_eval(frame_pairs, model, threshold=None, seed=0,
     else:
         test = scored
     rows = [(fa, fb, s, int(s > threshold), y) for fa, fb, s, y in test]
-    tp, fp, fn, tn = confusion([r[3] for r in rows], [r[4] for r in rows])
+    tp, fp, fn, tn = confusion([r[2] for r in rows], [r[4] for r in rows],
+                               threshold)
     return PlaceRecognitionReport(f1=_f1(tp, fp, fn),
                                   accuracy=(tp + tn) / len(rows),
                                   threshold=threshold, rows=rows,

@@ -230,13 +230,6 @@ def project_to_image(point3d, camera):
     return u, v, z, in_view
 
 
-def back_project(u, v, depth, camera):
-    """Camera-frame point recovered from a pixel and its depth."""
-    x = (u - camera.cx) / camera.fx * depth
-    y = (v - camera.cy) / camera.fy * depth
-    return np.array([x, y, depth])
-
-
 # -- procedural patch textures ----------------------------------------------
 
 def _texture(cls, appearance_seed, view_scale, side=PATCH_SIDE):

@@ -276,6 +276,21 @@ class TestPlace:
         assert residuals["1"][0] > 1e-6 and residuals["1"][1]
         assert residuals["100"][0] <= 1e-6 and not residuals["100"][1]
 
+    def test_residual_warning_names_both_knobs(self, workspace, tmp_path,
+                                               capsys):
+        # at a strongly negative dustbin more iterations barely move the
+        # residual, so the warning names place.dustbin beside place.iters
+        capsys.readouterr()
+        assert main(["place", "--data", workspace["data"],
+                     "--out", str(tmp_path / "p"),
+                     "--checkpoint", workspace["checkpoint"],
+                     "--set", "place.dustbin=-5"]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning: Sinkhorn")]
+        assert len(warnings) == 1
+        assert "place.iters cap of 100" in warnings[0]
+        assert "place.dustbin" in warnings[0]
+
     def test_patchless_frame_is_left_out(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(workspace["data"], str(data))

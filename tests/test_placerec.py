@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -253,6 +254,103 @@ class TestThresholdTuning:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             tune_threshold([], [])
+
+
+# The counting routines as they were before ``confusion`` took scores and
+# thresholds: the references that the sorted count must match bit for bit.
+def reference_confusion(decisions, labels):
+    counts = Counter((bool(d), bool(y)) for d, y in zip(decisions, labels))
+    return (counts[True, True], counts[True, False], counts[False, True],
+            counts[False, False])
+
+
+def reference_roc_auc(scores, labels):
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    npos = int(np.sum(labels == 1))
+    nneg = int(np.sum(labels == 0))
+    if npos == 0 or nneg == 0:
+        return None
+    order = np.argsort(-scores, kind="stable")
+    auc = 0.0
+    tp = fp = 0
+    prev_tpr = prev_fpr = 0.0
+    i = 0
+    while i < len(order):
+        j = i
+        while j < len(order) and scores[order[j]] == scores[order[i]]:
+            tp += int(labels[order[j]] == 1)
+            fp += int(labels[order[j]] == 0)
+            j += 1
+        tpr, fpr = tp / npos, fp / nneg
+        auc += (fpr - prev_fpr) * (tpr + prev_tpr) / 2.0
+        prev_tpr, prev_fpr = tpr, fpr
+        i = j
+    return auc
+
+
+def reference_f1(tp, fp, fn):
+    denom = 2 * tp + fp + fn
+    return 2 * tp / denom if denom else 0.0
+
+
+def reference_tune_threshold(scores, labels):
+    best_f1, best_t = -1.0, 0.5
+    candidates = sorted({0.0, *scores})
+    for t in candidates:
+        tp, fp, fn, _ = reference_confusion([s > t for s in scores], labels)
+        f1 = reference_f1(tp, fp, fn)
+        if f1 > best_f1 + 1e-9 or (abs(f1 - best_f1) <= 1e-9 and t < best_t):
+            best_f1, best_t = f1, t
+    return best_t
+
+
+# pools with heavy ties, both zeros, a tiny positive and two neighbouring
+# floats
+TIE_POOL = [0.0, -0.0, 1e-300, 0.25, 0.5, 0.5 + 2.0 ** -53, 0.75, 1.0]
+
+
+def random_case(rng):
+    # mostly small cases, where ties and one-class labels are common
+    n = int(rng.integers(1, 401 if rng.random() < 0.3 else 41))
+    kind = rng.integers(4)
+    if kind == 0:
+        scores = rng.choice(TIE_POOL, size=n)
+    elif kind == 1:
+        scores = rng.random(n)
+    elif kind == 2:
+        scores = np.round(rng.random(n), int(rng.integers(1, 3)))
+    else:
+        scores = np.where(rng.random(n) < 0.5, rng.choice(TIE_POOL, size=n),
+                          rng.random(n))
+    p = rng.choice([0.0, 1.0, 0.1, 0.5, 0.9])
+    labels = (rng.random(n) < p).astype(int).tolist()
+    return scores.tolist(), labels
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sorted_count_matches_the_reference_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        scores, labels = random_case(rng)
+        want_auc = reference_roc_auc(scores, labels)
+        got_auc = matching._roc_auc(scores, labels)
+        if want_auc is None:
+            assert got_auc is None
+        else:
+            assert float.hex(got_auc) == float.hex(want_auc)
+        want_t = reference_tune_threshold(scores, labels)
+        got_t = tune_threshold(scores, labels)
+        assert got_t == want_t
+        assert math.copysign(1.0, got_t) == math.copysign(1.0, want_t)
+        thresholds = [0.0, *scores]
+        counts = matching.confusion(scores, labels, thresholds)
+        for i, t in enumerate(thresholds):
+            want = reference_confusion([s > t for s in scores], labels)
+            got = matching.confusion(scores, labels, t)
+            assert got == want
+            assert all(type(c) is int for c in got)
+            assert tuple(int(c[i]) for c in counts) == want
 
 
 class PlaceScorer:

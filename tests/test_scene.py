@@ -25,9 +25,11 @@ def test_projection_on_optical_axis():
 
 def test_projection_formula_oracle():
     # u = fx*X/Z + cx = 700*1/10 + 640 = 710
-    cam = _cam((0.0, 0.0, 0.0), fx=700.0, cx=640.0)
-    u, v, depth, _ = sc.project_to_image((1.0, 0.0, 10.0), cam)
+    # v = fy*Y/Z + cy = 800*2/10 + 400 = 560
+    cam = _cam((0.0, 0.0, 0.0), fx=700.0, fy=800.0, cx=640.0, cy=400.0)
+    u, v, depth, _ = sc.project_to_image((1.0, 2.0, 10.0), cam)
     assert u == pytest.approx(710.0, abs=1e-12)
+    assert v == pytest.approx(560.0, abs=1e-12)
     assert depth == 10.0
 
 
@@ -42,16 +44,6 @@ def test_projection_out_of_view_is_flagged_not_raised():
     u, v, depth, in_view = sc.project_to_image((50.0, 0.0, 5.0), cam)
     assert not in_view
     assert depth == 5.0
-
-
-def test_projection_back_projection_round_trip():
-    cam = _cam((0.0, 0.0, 0.0))
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        p = np.array([rng.uniform(-5, 5), rng.uniform(-3, 3), rng.uniform(2, 30)])
-        u, v, depth, _ = sc.project_to_image(p, cam)
-        back = sc.back_project(u, v, depth, cam)
-        np.testing.assert_allclose(back, p, atol=1e-9)
 
 
 def test_projection_respects_camera_pose():

@@ -22,7 +22,10 @@
 # place.dustbin=-5, where the place.iters cap stops the plans (all of
 # them at 2, most at -5) unconverged, so they take the Sinkhorn residual
 # warning path; and with place.iters=400, where every plan reaches its
-# bitwise fixed point (Sinkhorn's early exit) long before the cap.
+# bitwise fixed point (Sinkhorn's early exit) long before the cap.  It
+# runs once more on data-12, a 12-scene dataset (24 frames, 276 frame
+# pairs), so threshold tuning and the confusion counts work on 138
+# validation pairs.
 #
 # The last blocks run place on data-empty, a copy of the dataset whose
 # first frame has no patches (left out with a warning); train and place on
@@ -94,6 +97,9 @@ pg place --data data --checkpoint gcn-mean/train/model.json \
     --set place.dustbin=-5 --out gcn-mean/place-dustbin-5
 pg place --data data --checkpoint gcn-mean/train/model.json \
     --set place.iters=400 --out gcn-mean/place-iters400
+pg synth --seed 9 --set synth.scenes=12 --out data-12
+pg place --data data-12 --checkpoint gcn-mean/train/model.json \
+    --out gcn-mean/place-12
 
 cp -r data data-empty
 python3 - <<'EOF_EMPTY'
