@@ -355,13 +355,16 @@ def moveaxis(a, source, destination):
 
 # -- nonlinearities ------------------------------------------------------
 
+def logistic(x):
+    """The sigmoid of an array, the values of ``sigmoid``: with
+    e = exp(-|x|), which cannot overflow, 1 / (1 + e) where x >= 0 and
+    e / (1 + e) elsewhere."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a):
-    x = a.data
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    y = logistic(a.data)
     return _make(y, (a,), (lambda g: g * y * (1.0 - y),))
 
 
@@ -539,15 +542,21 @@ def grad_check(f, params, h=1e-5):
 def save_named_tensors(path, tensors):
     """Write a {name: array} mapping as JSON with shape + row-major data.
 
-    JSON floats are IEEE doubles, so the round trip is exact.
+    JSON floats are IEEE doubles, so the round trip is exact.  The bytes
+    are those of one ``json.dump`` of the whole mapping; each entry is
+    encoded on its own by ``json.dumps``, which uses json's C encoder
+    where ``json.dump`` never does.
     """
-    blob = {}
-    for name, t in tensors.items():
-        arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
-        blob[name] = {"shape": list(arr.shape),
-                      "data": [float(v) for v in arr.reshape(-1)]}
     with open(path, "w") as fh:
-        json.dump(blob, fh)
+        fh.write("{")
+        for i, (name, t) in enumerate(tensors.items()):
+            arr = (t.data if isinstance(t, Tensor)
+                   else np.asarray(t, dtype=np.float64))
+            entry = {"shape": list(arr.shape),
+                     "data": arr.reshape(-1).tolist()}
+            fh.write("%s%s: %s" % (", " if i else "", json.dumps(name),
+                                   json.dumps(entry)))
+        fh.write("}")
 
 
 def load_named_tensors(path):

@@ -221,15 +221,29 @@ def assemble_embeddings(patch, frame, model):
                              psi=ad.concat([g, rho, f]))
 
 
-def _bilinear(a, m, b):
-    """a^T M b for matching rows of two stacks of vectors (..., w).  Each
-    row of ``a`` meets M in a product of its own, and the last-axis sum is
-    taken row by row, so a row's bits do not depend on the rest of the
-    stack."""
+def _row_products(a, m):
+    """a^T M for each row of a stack of vectors (..., w).  Each row meets M
+    in a one-row product of its own, (..., 1, w) @ (w, w'), never in one
+    (rows, w) product, which BLAS may round differently, so a row's bits do
+    not depend on the rest of the stack."""
     lead, width = a.data.shape[:-1], a.data.shape[-1]
-    am = ad.reshape(ad.reshape(a, lead + (1, width)) @ m,
-                    lead + (m.data.shape[-1],))
-    return ad.tsum(am * b, axis=-1)
+    return ad.reshape(ad.reshape(a, lead + (1, width)) @ m,
+                      lead + (m.data.shape[-1],))
+
+
+def _bilinear(a, m, b):
+    """a^T M b for matching rows of two stacks of vectors (..., w); the
+    last-axis sum is taken row by row."""
+    return ad.tsum(_row_products(a, m) * b, axis=-1)
+
+
+def _phi_products(phi, disc):
+    """The two discriminator products of phi = rho | f, one row per row of
+    ``phi``: rho M12 (..., n) and f [M21 M22 M23] (..., 3n)."""
+    n = disc.n
+    return (_row_products(ad.slice1d(phi, 0, n), disc.m12),
+            _row_products(ad.slice1d(phi, n, 2 * n),
+                          ad.concat([disc.m21, disc.m22, disc.m23])))
 
 
 def discriminate(phi, psi, disc):
@@ -244,11 +258,22 @@ def discriminate(phi, psi, disc):
         raise ValueError("expected phi of length %d and psi of length %d, "
                          "got %r and %r" % (2 * n, 3 * n, phi.data.shape,
                                             psi.data.shape))
-    rho_x, f_x = ad.slice1d(phi, 0, n), ad.slice1d(phi, n, 2 * n)
-    rho_y = ad.slice1d(psi, n, 2 * n)
-    logit = (_bilinear(rho_x, disc.m12, rho_y)
-             + _bilinear(f_x, ad.concat([disc.m21, disc.m22, disc.m23]), psi))
+    rho_m12, f_m2 = _phi_products(phi, disc)
+    logit = (ad.tsum(rho_m12 * ad.slice1d(psi, n, 2 * n), axis=-1)
+             + ad.tsum(f_m2 * psi, axis=-1))
     return ad.sigmoid(logit)
+
+
+def table_scores(x, y):
+    """Directed scores sigmoid(phi^T M psi) of ``FrameIndex.score_tables``
+    rows: ``x`` rows (..., 4n) of the phi side against ``y`` rows of the psi
+    side, whose leading axes broadcast.  The products, last-axis sums and
+    sigmoid are those of ``discriminate``, in its order, so each score keeps
+    its bits."""
+    p = x * y
+    n = p.shape[-1] // 4
+    return ad.logistic(np.sum(p[..., :n], axis=-1)
+                       + np.sum(p[..., n:], axis=-1))
 
 
 def full_bilinear_score(phi, psi, disc):
@@ -271,6 +296,9 @@ class FrameIndex:
       descriptor ``f`` unless a tape records a featurizer that trains, and,
       while no tape is recorded, its embeddings ``rho`` and ``g``.
 
+    * in inference, the score tables that the flagship discriminator reads
+      for each frame's patches, stacked once (``frame_tables``).
+
     The keys are frame and patch ids, which repeat across datasets (``synth``
     names frames ``s000/a`` at every seed), so an index serves one call on
     one dataset and one model.
@@ -281,6 +309,7 @@ class FrameIndex:
         self.patches = []      # slot -> (patch, frame)
         self.cliques = {}      # slot -> vertex slots, center first
         self.rows = {}         # slot -> {field: row} kept for the call
+        self.frames = {}       # frame id -> score tables of its patches
 
     def slot(self, patch, frame):
         key = (frame.frame_id, patch.patch_id)
@@ -289,6 +318,16 @@ class FrameIndex:
             slot = self.slots[key] = len(self.patches)
             self.patches.append((patch, frame))
         return slot
+
+    def row_slots(self, rows):
+        """(slots, ix, iy) for rows that start with (patch_x, frame_x,
+        patch_y, frame_y): the rows' distinct slots, and the place in
+        ``slots`` of each row's x and of its y."""
+        ends = [self.slot(patch, frame) for px, fx, py, fy, *_ in rows
+                for patch, frame in ((px, fx), (py, fy))]
+        slots = list(dict.fromkeys(ends))
+        at = {slot: i for i, slot in enumerate(slots)}
+        return slots, [at[s] for s in ends[0::2]], [at[s] for s in ends[1::2]]
 
     def clique(self, slot, k):
         vertices = self.cliques.get(slot)
@@ -374,6 +413,27 @@ class FrameIndex:
                                        tables["f"]])
         return tables
 
+    def score_tables(self, slots, model):
+        """Inference rows (x, y), each (len(slots), 4n), of the flagship
+        discriminator: x = rho M12 | f [M21 M22 M23] and y = rho | psi, so
+        phi_x^T M psi_y sums x_x * y_y over the first n entries plus over
+        the other 3n, and each patch meets M once, not once per partner."""
+        with ad.no_grad():
+            t = self.tables(slots, model, ("phi", "psi"))
+            m12, m2 = _phi_products(t["phi"], model.disc)
+        return (np.concatenate([m12.data, m2.data], axis=1),
+                np.concatenate([t["rho"].data, t["psi"].data], axis=1))
+
+    def frame_tables(self, frame, model):
+        """The x and y rows of the frame's patches, in their order, stacked
+        once per call as one (2, A, 4n) array."""
+        tables = self.frames.get(frame.frame_id)
+        if tables is None:
+            tables = self.frames[frame.frame_id] = np.stack(
+                self.score_tables([self.slot(p, frame)
+                                   for p in frame.patches], model))
+        return tables
+
 
 # -- scoring ------------------------------------------------------------------
 
@@ -447,13 +507,8 @@ class VariantScorer:
         start with (patch_x, frame_x, patch_y, frame_y).  ``cache`` is the
         call's ``FrameIndex``; each distinct patch is embedded once."""
         index = FrameIndex() if cache is None else cache
-        ends = [index.slot(patch, frame) for px, fx, py, fy, *_ in rows
-                for patch, frame in ((px, fx), (py, fy))]
-        slots = list(dict.fromkeys(ends))
+        slots, ix, iy = index.row_slots(rows)
         tables = index.tables(slots, self.model, self.fields)
-        at = {slot: i for i, slot in enumerate(slots)}
-        ix = [at[slot] for slot in ends[0::2]]
-        iy = [at[slot] for slot in ends[1::2]]
         field_x, field_y = self.fields
         # both directions in one pass: rows (x, y) then rows (y, x)
         d = self._directed(ad.take(tables[field_x], ix + iy),
@@ -470,7 +525,16 @@ class VariantScorer:
                 + self.model.gnn.trainable() + [self.matrix])
 
 
-# Rows per batched pass at inference, which bounds its temporaries.
+def reads_tables(scorer):
+    """Whether ``scorer`` scores inference from the ``FrameIndex`` score
+    tables: the flagship (phi_psi, bilinear) ``VariantScorer`` does, every
+    other scorer goes through ``score_rows``."""
+    return (isinstance(scorer, VariantScorer) and scorer.pairing == "phi_psi"
+            and scorer.discriminator == "bilinear")
+
+
+# Rows per batched pass at inference, and INFERENCE_CHUNK**2 patch pairs per
+# block of a frame pair's broadcast, which bounds their temporaries.
 INFERENCE_CHUNK = 64
 
 
@@ -479,12 +543,20 @@ def symmetric_scores(rows, scorer, cache=None):
     (patch_x, frame_x, patch_y, frame_y); each patch is embedded once per
     ``cache`` (a ``FrameIndex``)."""
     cache = FrameIndex() if cache is None else cache
+    tabled = reads_tables(scorer)
     scores = []
     with ad.no_grad():
         for start in range(0, len(rows), INFERENCE_CHUNK):
-            d_xy, d_yx = scorer.score_rows(rows[start:start + INFERENCE_CHUNK],
-                                           cache)
-            scores.extend((0.5 * (d_xy.data + d_yx.data)).tolist())
+            chunk = rows[start:start + INFERENCE_CHUNK]
+            if tabled:
+                slots, ix, iy = cache.row_slots(chunk)
+                x, y = cache.score_tables(slots, scorer.model)
+                # both directions in one pass: rows (x, y) then rows (y, x)
+                d = table_scores(x[ix + iy], y[iy + ix])
+                d_xy, d_yx = d[:len(chunk)], d[len(chunk):]
+            else:
+                d_xy, d_yx = (d.data for d in scorer.score_rows(chunk, cache))
+            scores.extend((0.5 * (d_xy + d_yx)).tolist())
     return scores
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SCHEMA
-from .matching import FrameIndex, VariantScorer, confusion, symmetric_scores
+from .matching import (INFERENCE_CHUNK, FrameIndex, VariantScorer, confusion,
+                       reads_tables, symmetric_scores, table_scores)
 from .seeds import rng_for
 
 SAME_PLACE_RADIUS_M = SCHEMA["place.radius"][0]
@@ -32,10 +33,22 @@ def score_matrix(frame_a, frame_b, model, scorer=None, cache=None):
     """The (A, B) array S[i][j] = symmetric match score between patch i of
     frame A and patch j of frame B, scored as one batch; embeddings are
     computed once per patch, and once across calls that share ``cache`` (a
-    ``matching.FrameIndex``)."""
+    ``matching.FrameIndex``).  The flagship scorer reads each frame's score
+    tables, stacked once per ``cache``, and scores both directions as one
+    broadcast over blocks of A's rows that hold at most INFERENCE_CHUNK**2
+    patch pairs each; any other scorer scores the A*B rows."""
     if not frame_a.patches or not frame_b.patches:
         raise ValueError("both frames need at least one patch")
     scorer = VariantScorer(model) if scorer is None else scorer
+    cache = FrameIndex() if cache is None else cache
+    if reads_tables(scorer):
+        a, b = (cache.frame_tables(f, scorer.model)
+                for f in (frame_a, frame_b))
+        # (2, A, B): A's x rows against B's y rows, then A's y against B's x
+        step = max(1, INFERENCE_CHUNK ** 2 // b.shape[1])
+        d = np.concatenate([table_scores(a[:, i:i + step, None], b[::-1, None])
+                            for i in range(0, a.shape[1], step)], axis=1)
+        return 0.5 * (d[0] + d[1])
     rows = [(pa, frame_a, pb, frame_b) for pa in frame_a.patches
             for pb in frame_b.patches]
     return np.reshape(symmetric_scores(rows, scorer, cache),

@@ -385,7 +385,11 @@ def read_image(path):
     tool.  Raises ValueError for anything else, including an empty, cut-off
     or zero-pixel image."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        return _decode_image(fh.read())
+
+
+def _decode_image(data):
+    """The pixels of the bytes of a binary PGM (P5) file; see read_image."""
     header = _PGM_HEADER.match(data)
     if header is None:
         raise ValueError("no binary PGM (P5) header")
@@ -401,11 +405,6 @@ def read_image(path):
 
 
 # -- manifest save / load ----------------------------------------------------
-
-def _sha256(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
 
 @contextmanager
 def staged(*paths):
@@ -560,8 +559,11 @@ def _load_patch(base, frame_id, rec):
     if not os.path.exists(path):
         raise ValueError("patch %s: missing image %s" % (patch_id, image))
     try:
-        digest = _sha256(path) if "sha256" in rec else None
-        pixels = read_image(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # the checksum vouches for the very bytes that are decoded
+        digest = hashlib.sha256(data).hexdigest() if "sha256" in rec else None
+        pixels = _decode_image(data)
     except (OSError, ValueError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise ValueError("patch %s: unreadable image %s (%s)"

@@ -4,6 +4,8 @@ Oracles: hand-worked matrix products, central finite differences, and an
 independent re-implementation of the Adam update inside the tests.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -283,6 +285,40 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
         assert back[k].dtype == np.float64
         assert np.asarray(tensors[k]).shape == back[k].shape
         assert back[k].tobytes() == np.asarray(tensors[k], dtype=np.float64).tobytes()
+
+
+def _checkpoint_bytes_one_dump(path, tensors):
+    """The checkpoint writer as one ``json.dump`` of the whole mapping."""
+    blob = {}
+    for name, t in tensors.items():
+        arr = (t.data if isinstance(t, ad.Tensor)
+               else np.asarray(t, dtype=np.float64))
+        blob[name] = {"shape": list(arr.shape),
+                      "data": [float(v) for v in arr.reshape(-1)]}
+    with open(path, "w") as fh:
+        json.dump(blob, fh)
+
+
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_checkpoint_bytes_equal_one_json_dump(tmp_path, count):
+    rng = np.random.default_rng(10)
+    special = np.array([[-0.0, 5e-324, 1e300], [-1e-310, 0.1, -2.5]])
+    entries = [
+        ("scalar", np.array(-0.0)),
+        ("stack", rng.standard_normal((2, 3, 4))),
+        ("special", ad.parameter(special)),
+        ("tiny \"name\" \u00e9", np.array([5e-324, -1e300, 1.0])),
+        ("empty", np.zeros((0, 3))),
+    ]
+    tensors = dict(entries[:count])
+    ad.save_named_tensors(tmp_path / "new.json", tensors)
+    _checkpoint_bytes_one_dump(tmp_path / "old.json", tensors)
+    assert ((tmp_path / "new.json").read_bytes()
+            == (tmp_path / "old.json").read_bytes())
+    back = ad.load_named_tensors(tmp_path / "new.json")
+    for name, t in tensors.items():
+        arr = t.data if isinstance(t, ad.Tensor) else t
+        assert back[name].tobytes() == arr.tobytes()
 
 
 def test_checkpoint_shape_mismatch_rejected(tmp_path):

@@ -7,6 +7,10 @@ each patch through ``assemble_embeddings`` on its own, scores each pair
 with the 1-d ``discriminate`` (or the variant's bilinear form), and sums
 the loss one directed score at a time.  Scores, loss and gradients must
 agree to 1e-12.
+
+Inference with the flagship scorer reads per-patch score tables instead
+(``FrameIndex.score_tables``); its scores must equal those of
+``score_rows`` bit for bit.
 """
 
 import itertools
@@ -29,22 +33,24 @@ from patchgraph.matching import (
     loss_emp_id,
     symmetric_scores,
 )
+from patchgraph.placerec import score_matrix
 from patchgraph.scene import Frame, Patch, standard_camera
 
 ARCHITECTURES = ("gcn", "gat", "sage")
 TOL = 1e-12
 
 
-def make_frames(sizes, rng, features):
+def make_frames(sizes, rng, features, width=4):
     """Frames of the given patch counts with random locations, pixels and
-    (optionally) precomputed descriptors of width 4."""
+    (optionally) precomputed descriptors of the given width."""
     frames = []
     for fi, count in enumerate(sizes):
         fid = "f%d" % fi
         patches = [Patch("%s/p%d" % (fid, i), fid, (0.0, 0.0, 8.0, 8.0),
                          rng.integers(0, 256, size=(8, 8), dtype=np.uint8),
                          loc3d=rng.uniform(-5.0, 5.0, size=3),
-                         feature=rng.standard_normal(4) if features else None)
+                         feature=(rng.standard_normal(width) if features
+                                  else None))
                    for i in range(count)]
         frames.append(Frame(fid, standard_camera(position=(0.0, 0.0, 0.0)),
                             np.zeros(3), patches))
@@ -151,6 +157,59 @@ def test_ragged_frames_and_repeated_patches(arch, pool):
             (p, full, q, full, 1),                       # a repeated row
             (pair.patches[0], pair, pair.patches[1], pair, 0)]
     assert_matches_reference(rows, model, VariantScorer(model))
+
+
+def row_route(rows, scorer):
+    """Symmetric inference scores through ``score_rows``: the route of
+    every scorer without score tables."""
+    with ad.no_grad():
+        d_xy, d_yx = scorer.score_rows(rows)
+    return 0.5 * (d_xy.data + d_yx.data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_score_tables_match_the_row_route_bit_for_bit(data):
+    """``score_matrix`` and ``symmetric_scores`` read the flagship's score
+    tables; both must give the bytes of the ``score_rows`` route, and a
+    frame pair's matrix must be the exact transpose of the swapped pair's."""
+    arch = data.draw(st.sampled_from(ARCHITECTURES), label="arch")
+    pool = data.draw(st.sampled_from(("mean", "max")), label="pool")
+    descriptors = data.draw(st.sampled_from(
+        ("feature", "fixed_hist", "tiny_conv")), label="descriptors")
+    n = data.draw(st.sampled_from((4, 32)), label="n")
+    k = data.draw(st.integers(1, 4), label="k")
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=3),
+                      label="sizes")
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    rng = np.random.default_rng(seed)
+    frames = make_frames(sizes, rng, features=descriptors == "feature",
+                         width=n)
+    model = init_model(ModelConfig(
+        n=n, k=k, heads=2, architecture=arch, pool=pool,
+        featurizer="tiny_conv" if descriptors == "tiny_conv"
+        else "fixed_hist"), seed)
+    scorer = VariantScorer(model)
+    index = FrameIndex()
+    for fa, fb in itertools.combinations(frames, 2):
+        rows = [(pa, fa, pb, fb) for pa in fa.patches for pb in fb.patches]
+        want = row_route(rows, scorer).reshape(len(fa.patches),
+                                               len(fb.patches))
+        for cache in (None, index):
+            ab = score_matrix(fa, fb, model, cache=cache)
+            assert ab.tobytes() == want.tobytes()
+            assert ab.tobytes() == score_matrix(fb, fa, model,
+                                                cache=cache).T.tobytes()
+    patches = [(p, f) for f in frames for p in f.patches]
+    picks = data.draw(st.lists(
+        st.tuples(st.integers(0, len(patches) - 1),
+                  st.integers(0, len(patches) - 1)),
+        min_size=1, max_size=80), label="rows")
+    rows = [(*patches[i], *patches[j]) for i, j in picks]
+    want = row_route(rows, scorer)
+    for cache in (None, index):
+        got = np.asarray(symmetric_scores(rows, scorer, cache))
+        assert got.tobytes() == want.tobytes()
 
 
 def per_head_gat_layer(x, w, a_left, a_right):

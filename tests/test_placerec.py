@@ -86,6 +86,23 @@ class TestScoreMatrix:
         ba = score_matrix(fb, fa, model)
         np.testing.assert_array_equal(ab, ba.T)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
+    def test_blocks_of_rows_keep_the_bytes(self, monkeypatch, chunk):
+        """The frame-pair broadcast runs over blocks of A's rows that hold
+        at most INFERENCE_CHUNK**2 pairs; any block size gives the bytes of
+        the row route."""
+        rng = np.random.default_rng(3)
+        model = init_model(ModelConfig(n=8, k=2), seed=3)
+        fa = make_frame("f0", 7, (0, 0, 0), rng)
+        fb = make_frame("f1", 5, (1, 0, 0), rng)
+        rows = [(pa, fa, pb, fb) for pa in fa.patches for pb in fb.patches]
+        with ad.no_grad():
+            d_xy, d_yx = matching.VariantScorer(model).score_rows(rows)
+        want = (0.5 * (d_xy.data + d_yx.data)).reshape(7, 5)
+        monkeypatch.setattr(placerec, "INFERENCE_CHUNK", chunk)
+        assert score_matrix(fa, fb, model).tobytes() == want.tobytes()
+        assert score_matrix(fb, fa, model).T.tobytes() == want.tobytes()
+
     def test_empty_frame_rejected(self):
         rng = np.random.default_rng(2)
         model = init_model(ModelConfig(n=4, k=2), seed=2)
@@ -438,6 +455,37 @@ class TestPlaceRecognitionEval:
         assert len(embedded) == len(set(embedded)) == sum(
             len(f.patches) for f in frames)
         assert report.rows == expected
+
+    def test_featurizes_and_tables_each_frame_once(self, monkeypatch):
+        """Over every pair of 4 frames, each patch is featurized once and
+        each frame's score tables are built once, not once per pair."""
+        rng = np.random.default_rng(15)
+        model = init_model(ModelConfig(n=8, k=3, featurizer="tiny_conv"),
+                           seed=9)
+        frames = [make_frame("f%d" % i, 3 + i, (6.0 * i, 0.0, 0.0), rng)
+                  for i in range(4)]
+        pairs = [(a, b) for i, a in enumerate(frames) for b in frames[i + 1:]]
+        featurized, tabled = [], []
+        featurize = matching.featurize
+        score_tables = matching.FrameIndex.score_tables
+
+        def counted_featurize(patch, params):
+            featurized.append(patch.patch_id)
+            return featurize(patch, params)
+
+        def counted_score_tables(index, slots, model):
+            tabled.append(slots)
+            return score_tables(index, slots, model)
+
+        monkeypatch.setattr(matching, "featurize", counted_featurize)
+        monkeypatch.setattr(matching.FrameIndex, "score_tables",
+                            counted_score_tables)
+        place_recognition_eval(pairs, model, threshold=0.5)
+        patches = [p.patch_id for f in frames for p in f.patches]
+        assert sorted(featurized) == sorted(patches)
+        assert len(tabled) == len(frames)
+        slots = [s for call in tabled for s in call]
+        assert len(slots) == len(set(slots)) == len(patches)
 
     @pytest.mark.parametrize("dustbin", [DUSTBIN_DEFAULT, -5.0])
     def test_report_carries_largest_sinkhorn_residual(self, dustbin):

@@ -358,6 +358,25 @@ def test_save_dataset_failure_keeps_previous_files(tmp_path, monkeypatch):
     assert not list(tmp_path.glob("**/*.tmp"))
 
 
+def test_load_dataset_opens_each_image_once(tmp_path, monkeypatch):
+    """The checksum and the pixels come from one read of the image."""
+    scene = _small_scene(seed=31)
+    fa, fb = sc.render_views(scene, _cam((0, 1.5, 0)), _cam((4, 1.5, 0)),
+                             sc.NoiseConfig(occlusion_prob=0.0), 8)
+    manifest = sc.save_dataset(tmp_path / "ds", [fa, fb], [])
+    opened = []
+
+    def counted(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(sc, "open", counted, raising=False)
+    loaded = sc.load_dataset(manifest)
+    assert loaded.diagnostics == []
+    images = [p for p in opened if p.endswith(".pgm")]
+    assert len(images) == len(set(images)) == len(fa.patches) + len(fb.patches)
+
+
 def test_load_dataset_empty_manifest(tmp_path):
     path = tmp_path / "manifest.jsonl"
     path.write_text("")

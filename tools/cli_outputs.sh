@@ -13,7 +13,8 @@
 # between the two trees.
 #
 # Besides every model command for each architecture and pool, it runs
-# train, eval and place for gat at 1 and 2 heads (the default is 4), the
+# train, eval and place for gat at 1 and 2 heads (the default is 4), train,
+# eval, match and place with the learned tiny_conv featurizer, the
 # two ground-truth oracles (eval --perfect-oracle, stereo with
 # stereo.oracle_match=true), verify-theory with small model counts, and
 # place on a one-scene dataset (two frames, so one frame pair) with
@@ -77,6 +78,10 @@ pg train --data data --out tiny_conv/train $small \
     --set model.featurizer=tiny_conv
 pg eval --data data --checkpoint tiny_conv/train/model.json \
     --out tiny_conv/eval
+pg match --data data --checkpoint tiny_conv/train/model.json \
+    --frame-a s000/a --frame-b s001/b --out tiny_conv/match
+pg place --data data --checkpoint tiny_conv/train/model.json \
+    --out tiny_conv/place
 pg ablate --data data --out ablate $small
 pg eval --data data --perfect-oracle --out oracle/eval
 pg stereo --set stereo.oracle_match=true --out oracle/stereo
