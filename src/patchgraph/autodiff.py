@@ -563,13 +563,18 @@ def load_named_tensors(path):
     """Inverse of save_named_tensors; returns {name: float64 ndarray}."""
     with open(path) as fh:
         blob = json.load(fh)
+    if not isinstance(blob, dict):
+        raise ValueError("checkpoint tensors are not a JSON object")
     out = {}
     for name, rec in blob.items():
-        shape = tuple(rec["shape"])
-        arr = np.asarray(rec["data"], dtype=np.float64)
-        expected = int(np.prod(shape)) if shape else 1
-        if arr.size != expected:
-            raise ValueError("checkpoint entry %r has %d values for shape %r"
-                             % (name, arr.size, shape))
-        out[name] = arr.reshape(shape)
+        try:
+            shape = tuple(rec["shape"])
+            arr = np.asarray(rec["data"], dtype=np.float64)
+            if arr.size != (int(np.prod(shape)) if shape else 1):
+                raise ValueError("checkpoint entry %r has %d values for "
+                                 "shape %r" % (name, arr.size, shape))
+            out[name] = arr.reshape(shape)
+        except (TypeError, KeyError):
+            raise ValueError("checkpoint entry %r is not an object of a "
+                             "shape and data, each a list" % name) from None
     return out

@@ -287,43 +287,51 @@ def full_bilinear_score(phi, psi, disc):
 # -- frame index --------------------------------------------------------------
 
 class FrameIndex:
-    """What one ``train``, ``evaluate`` or ``place_recognition_eval`` call
-    computes once per (frame id, patch id) and reuses in every batch.
+    """What one scoring call (``train``, ``evaluate``,
+    ``place_recognition_eval``, ...) computes once over its frames and
+    reuses in every batch.  Each frame's patches hold consecutive slots, in
+    frame order (``frame_slots``).  The index keeps
 
-    * the clique of each patch, as the slots of its vertices (center first),
-      built through ``graph_for_patch``;
-    * the rows of each patch that cannot change during the call: its
-      descriptor ``f`` unless a tape records a featurizer that trains, and,
-      while no tape is recorded, its embeddings ``rho`` and ``g``.
-
-    * in inference, the score tables that the flagship discriminator reads
-      for each frame's patches, stacked once (``frame_tables``).
+    * the clique of each patch it embeds, as the slots of its vertices
+      (center first), built through ``graph_for_patch``;
+    * every value that cannot change during the call, as one array with a
+      row per slot, made for every slot in one pass on first use: ``f``
+      unless a tape records a featurizer that trains, and in inference
+      ``rho``, ``g`` and the flagship's score tables ``xy``.
 
     The keys are frame and patch ids, which repeat across datasets (``synth``
     names frames ``s000/a`` at every seed), so an index serves one call on
     one dataset and one model.
     """
 
-    def __init__(self):
-        self.slots = {}        # (frame id, patch id) -> slot
+    def __init__(self, frames):
+        self.start = {}        # frame id -> its first slot
         self.patches = []      # slot -> (patch, frame)
+        for frame in frames:
+            if frame.frame_id not in self.start:
+                self.start[frame.frame_id] = len(self.patches)
+                self.patches.extend((patch, frame) for patch in frame.patches)
+        self.slots = {(frame.frame_id, patch.patch_id): slot
+                      for slot, (patch, frame) in enumerate(self.patches)}
         self.cliques = {}      # slot -> vertex slots, center first
-        self.rows = {}         # slot -> {field: row} kept for the call
-        self.frames = {}       # frame id -> score tables of its patches
+        self.kept = {}         # field -> array with one row per slot
 
-    def slot(self, patch, frame):
-        key = (frame.frame_id, patch.patch_id)
-        slot = self.slots.get(key)
-        if slot is None:
-            slot = self.slots[key] = len(self.patches)
-            self.patches.append((patch, frame))
-        return slot
+    @classmethod
+    def for_rows(cls, rows):
+        """The index over the frames of rows that start with (patch_x,
+        frame_x, patch_y, frame_y)."""
+        return cls(frame for row in rows for frame in (row[1], row[3]))
+
+    def frame_slots(self, frame):
+        start = self.start[frame.frame_id]
+        return slice(start, start + len(frame.patches))
 
     def row_slots(self, rows):
         """(slots, ix, iy) for rows that start with (patch_x, frame_x,
         patch_y, frame_y): the rows' distinct slots, and the place in
         ``slots`` of each row's x and of its y."""
-        ends = [self.slot(patch, frame) for px, fx, py, fy, *_ in rows
+        ends = [self.slots[frame.frame_id, patch.patch_id]
+                for px, fx, py, fy, *_ in rows
                 for patch, frame in ((px, fx), (py, fy))]
         slots = list(dict.fromkeys(ends))
         at = {slot: i for i, slot in enumerate(slots)}
@@ -334,28 +342,20 @@ class FrameIndex:
         if vertices is None:
             patch, frame = self.patches[slot]
             vertices = self.cliques[slot] = [
-                self.slot(v, frame)
+                self.slots[frame.frame_id, v.patch_id]
                 for v in graph_for_patch(patch, frame, k=k)]
         return vertices
 
-    def descriptor_table(self, slots, featurizer):
-        """(len(slots), n) descriptors.  While a tape records a featurizer
-        that trains, a row without a precomputed ``feature`` is recomputed
-        on every call; every other row comes from the index."""
-        live = ad._grad_enabled and bool(featurizer.trainable())
-        rows = []
-        for slot in slots:
-            patch = self.patches[slot][0]
-            if live and patch.feature is None:
-                rows.append(featurize(patch, featurizer))
-                continue
-            kept = self.rows.setdefault(slot, {})
-            if "f" not in kept:
-                kept["f"] = featurize(patch, featurizer).data
-            rows.append(kept["f"])
-        if all(isinstance(r, np.ndarray) for r in rows):
-            return ad.constant(np.stack(rows))
-        return ad.stack_rows(rows)
+    def descriptors(self, slots, featurizer):
+        """(len(slots), n) descriptors: recomputed while a tape records a
+        featurizer that trains, otherwise rows of the kept ``f``."""
+        if ad._grad_enabled and featurizer.trainable():
+            return ad.stack_rows([featurize(self.patches[s][0], featurizer)
+                                  for s in slots])
+        if "f" not in self.kept:
+            self.kept["f"] = np.stack([featurize(patch, featurizer).data
+                                       for patch, _ in self.patches])
+        return ad.constant(self.kept["f"][slots])
 
     def embed(self, slots, model, context):
         """Descriptor ``f`` of each slot and, with ``context``, its vertex
@@ -363,7 +363,7 @@ class FrameIndex:
         The cliques are grouped by size, and each group runs through
         ``embed_graph`` as one stack."""
         if not context:
-            return {"f": self.descriptor_table(slots, model.featurizer)}
+            return {"f": self.descriptors(slots, model.featurizer)}
         groups = {}
         for slot in slots:
             vertices = self.clique(slot, model.config.k)
@@ -373,7 +373,7 @@ class FrameIndex:
         for _, vertices in members:
             for v in vertices:
                 vertex_rows.setdefault(v, len(vertex_rows))
-        table = self.descriptor_table(list(vertex_rows), model.featurizer)
+        table = self.descriptors(list(vertex_rows), model.featurizer)
         rho, g = [], []
         for group in groups.values():
             x = ad.take(table, [[vertex_rows[v] for v in vertices]
@@ -390,22 +390,17 @@ class FrameIndex:
 
     def tables(self, slots, model, fields):
         """{field: tensor with one row per slot} for the ensemble ``fields``.
-        Only ``f`` skips the graphs.  Without a tape, rows already in the
-        index are reused and new ones are added to it."""
+        Only ``f`` skips the graphs.  Without a tape, ``rho`` and ``g`` are
+        rows of the kept arrays, made for every slot on first use."""
         context = set(fields) != {"f"}
-        if ad._grad_enabled:
+        if ad._grad_enabled or not context:
             tables = self.embed(slots, model, context)
         else:
-            base = ("f", "rho", "g") if context else ("f",)
-            todo = [s for s in slots
-                    if not all(f in self.rows.get(s, ()) for f in base)]
-            if todo:
-                for field, t in self.embed(todo, model, context).items():
-                    for slot, row in zip(todo, t.data):
-                        self.rows[slot].setdefault(field, row)
-            tables = {f: ad.constant(np.stack([self.rows[s][f]
-                                               for s in slots]))
-                      for f in base}
+            if "g" not in self.kept:
+                t = self.embed(range(len(self.patches)), model, True)
+                self.kept.update(rho=t["rho"].data, g=t["g"].data)
+            tables = {f: ad.constant(self.kept[f][slots])
+                      for f in ("f", "rho", "g")}
         if "phi" in fields:
             tables["phi"] = ad.concat([tables["rho"], tables["f"]])
         if "psi" in fields:
@@ -413,26 +408,20 @@ class FrameIndex:
                                        tables["f"]])
         return tables
 
-    def score_tables(self, slots, model):
-        """Inference rows (x, y), each (len(slots), 4n), of the flagship
-        discriminator: x = rho M12 | f [M21 M22 M23] and y = rho | psi, so
-        phi_x^T M psi_y sums x_x * y_y over the first n entries plus over
-        the other 3n, and each patch meets M once, not once per partner."""
-        with ad.no_grad():
-            t = self.tables(slots, model, ("phi", "psi"))
-            m12, m2 = _phi_products(t["phi"], model.disc)
-        return (np.concatenate([m12.data, m2.data], axis=1),
-                np.concatenate([t["rho"].data, t["psi"].data], axis=1))
-
-    def frame_tables(self, frame, model):
-        """The x and y rows of the frame's patches, in their order, stacked
-        once per call as one (2, A, 4n) array."""
-        tables = self.frames.get(frame.frame_id)
-        if tables is None:
-            tables = self.frames[frame.frame_id] = np.stack(
-                self.score_tables([self.slot(p, frame)
-                                   for p in frame.patches], model))
-        return tables
+    def score_tables(self, model):
+        """The flagship discriminator's inference rows of every slot, made
+        once as one (2, P, 4n) array: x = rho M12 | f [M21 M22 M23] and
+        y = rho | psi, so phi_x^T M psi_y sums x_x * y_y over the first n
+        entries plus over the other 3n, and each patch meets M once, not
+        once per partner."""
+        if "xy" not in self.kept:
+            with ad.no_grad():
+                t = self.tables(slice(None), model, ("phi", "psi"))
+                m12, m2 = _phi_products(t["phi"], model.disc)
+            self.kept["xy"] = np.stack([
+                np.concatenate([m12.data, m2.data], axis=1),
+                np.concatenate([t["rho"].data, t["psi"].data], axis=1)])
+        return self.kept["xy"]
 
 
 # -- scoring ------------------------------------------------------------------
@@ -506,7 +495,7 @@ class VariantScorer:
         """Directed scores (d_xy, d_yx), each an (N,) tensor, for N rows that
         start with (patch_x, frame_x, patch_y, frame_y).  ``cache`` is the
         call's ``FrameIndex``; each distinct patch is embedded once."""
-        index = FrameIndex() if cache is None else cache
+        index = FrameIndex.for_rows(rows) if cache is None else cache
         slots, ix, iy = index.row_slots(rows)
         tables = index.tables(slots, self.model, self.fields)
         field_x, field_y = self.fields
@@ -534,7 +523,9 @@ def reads_tables(scorer):
 
 
 # Rows per batched pass at inference, and INFERENCE_CHUNK**2 patch pairs per
-# block of a frame pair's broadcast, which bounds their temporaries.
+# block of a frame pair's broadcast: it bounds the pair scores' temporaries,
+# not the embeddings, which the FrameIndex makes for all its slots at once
+# (chunks of 256 cost 1.5 MB more peak RSS when each embedded its own).
 INFERENCE_CHUNK = 64
 
 
@@ -542,15 +533,15 @@ def symmetric_scores(rows, scorer, cache=None):
     """Inference scores (d_xy + d_yx) / 2 for rows that start with
     (patch_x, frame_x, patch_y, frame_y); each patch is embedded once per
     ``cache`` (a ``FrameIndex``)."""
-    cache = FrameIndex() if cache is None else cache
-    tabled = reads_tables(scorer)
+    cache = FrameIndex.for_rows(rows) if cache is None else cache
+    xy = cache.score_tables(scorer.model) if reads_tables(scorer) else None
     scores = []
     with ad.no_grad():
         for start in range(0, len(rows), INFERENCE_CHUNK):
             chunk = rows[start:start + INFERENCE_CHUNK]
-            if tabled:
+            if xy is not None:
                 slots, ix, iy = cache.row_slots(chunk)
-                x, y = cache.score_tables(slots, scorer.model)
+                x, y = xy[:, slots]
                 # both directions in one pass: rows (x, y) then rows (y, x)
                 d = table_scores(x[ix + iy], y[iy + ix])
                 d_xy, d_yx = d[:len(chunk)], d[len(chunk):]
@@ -699,7 +690,7 @@ def train(corpus, model, train_config, scorer=None):
     history = []
     # cliques and fixed descriptors are built once; embeddings are
     # recomputed every step, since the parameters change every step
-    index = FrameIndex()
+    index = FrameIndex.for_rows(rows)
     for _ in range(train_config.epochs):
         order = _balanced_order(rows, rng, train_config.balance)
         epoch_losses = []

@@ -33,17 +33,17 @@ def score_matrix(frame_a, frame_b, model, scorer=None, cache=None):
     """The (A, B) array S[i][j] = symmetric match score between patch i of
     frame A and patch j of frame B, scored as one batch; embeddings are
     computed once per patch, and once across calls that share ``cache`` (a
-    ``matching.FrameIndex``).  The flagship scorer reads each frame's score
-    tables, stacked once per ``cache``, and scores both directions as one
-    broadcast over blocks of A's rows that hold at most INFERENCE_CHUNK**2
-    patch pairs each; any other scorer scores the A*B rows."""
+    ``matching.FrameIndex`` over both frames).  The flagship scorer reads
+    each frame's slice of the score tables and scores both directions as
+    one broadcast over blocks of A's rows that hold at most
+    INFERENCE_CHUNK**2 patch pairs each; any other scorer the A*B rows."""
     if not frame_a.patches or not frame_b.patches:
         raise ValueError("both frames need at least one patch")
     scorer = VariantScorer(model) if scorer is None else scorer
-    cache = FrameIndex() if cache is None else cache
+    cache = FrameIndex([frame_a, frame_b]) if cache is None else cache
     if reads_tables(scorer):
-        a, b = (cache.frame_tables(f, scorer.model)
-                for f in (frame_a, frame_b))
+        xy = cache.score_tables(scorer.model)
+        a, b = (xy[:, cache.frame_slots(f)] for f in (frame_a, frame_b))
         # (2, A, B): A's x rows against B's y rows, then A's y against B's x
         step = max(1, INFERENCE_CHUNK ** 2 // b.shape[1])
         d = np.concatenate([table_scores(a[:, i:i + step, None], b[::-1, None])
@@ -153,15 +153,15 @@ def place_recognition_eval(frame_pairs, model, threshold=None, seed=0,
     none is given, and report F1/accuracy on the remaining pairs, with the
     largest Sinkhorn marginal residual over every frame pair.  Tuning holds
     out at least one pair on each side, so it needs two frame pairs.  One
-    ``FrameIndex`` serves the whole run, so each patch's clique and
-    embedding are computed once."""
+    ``FrameIndex`` over the pairs' frames serves the whole run, so each
+    patch's clique, embedding and score tables are computed once."""
     if not frame_pairs:
         raise ValueError("no frame pairs to evaluate")
     if threshold is None and len(frame_pairs) < 2:
         raise ValueError("tuning the frame threshold needs at least two "
                          "frame pairs, got %d; set place.tune=false to use "
                          "place.gamma_f" % len(frame_pairs))
-    cache = FrameIndex()
+    cache = FrameIndex(frame for pair in frame_pairs for frame in pair)
     scored = []
     residual = 0.0
     for fa, fb in frame_pairs:

@@ -102,7 +102,7 @@ def assert_matches_reference(rows, model, scorer):
         np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
 
     # inference: one index across two calls; the second reuses its rows
-    index = FrameIndex()
+    index = FrameIndex.for_rows(rows)
     want = [0.5 * (float(a.data) + float(b.data)) for a, b in ref_scores]
     for _ in range(2):
         np.testing.assert_allclose(symmetric_scores(rows, scorer, index),
@@ -190,7 +190,7 @@ def test_score_tables_match_the_row_route_bit_for_bit(data):
         featurizer="tiny_conv" if descriptors == "tiny_conv"
         else "fixed_hist"), seed)
     scorer = VariantScorer(model)
-    index = FrameIndex()
+    index = FrameIndex(frames)
     for fa, fb in itertools.combinations(frames, 2):
         rows = [(pa, fa, pb, fb) for pa in fa.patches for pb in fb.patches]
         want = row_route(rows, scorer).reshape(len(fa.patches),

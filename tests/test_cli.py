@@ -392,6 +392,8 @@ class TestReproducibility:
             ["stereo", "--seed", "5", "--out", "stereo",
              "--set", "stereo.landmarks=4", "--set", "stereo.gamma=0.5"]
             + ckpt,
+            ["ablate", "--seed", "3", "--data", "data", "--out", "ablate"]
+            + TINY_MODEL + TINY_TRAIN,
         ]
         trees = []
         for name in ("one", "two"):
@@ -403,7 +405,8 @@ class TestReproducibility:
             trees.append({str(path.relative_to(root)): path.read_bytes()
                           for path in sorted(root.rglob("*"))
                           if path.is_file()})
-        for command in ("train", "eval", "match", "place", "stereo"):
+        for command in ("train", "eval", "match", "place", "stereo",
+                        "ablate"):
             assert any(name.startswith(command + os.sep) for name in trees[0])
         assert sorted(trees[0]) == sorted(trees[1])
         for name in trees[0]:
@@ -528,6 +531,30 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert named in err
+
+    @pytest.mark.parametrize("edit,named", [
+        pytest.param(lambda tensors: [], "not a JSON object", id="list"),
+        pytest.param(lambda tensors: dict(tensors, **{"disc.m12": 3}),
+                     "'disc.m12'", id="entry_number"),
+        pytest.param(lambda tensors: dict(tensors, **{"disc.m12": dict(
+            tensors["disc.m12"], shape=3)}), "'disc.m12'", id="shape_number"),
+        pytest.param(lambda tensors: dict(tensors, **{"disc.m12": dict(
+            tensors["disc.m12"], data=[{}])}), "'disc.m12'", id="data_object"),
+    ])
+    def test_malformed_checkpoint_tensors_exit_1(self, workspace, tmp_path,
+                                                 capsys, edit, named):
+        ckpt = edited_checkpoint(workspace, tmp_path, read_json(
+            workspace["checkpoint"] + ".config.json"))
+        with open(ckpt, "w") as fh:
+            json.dump(edit(read_json(workspace["checkpoint"])), fh)
+        capsys.readouterr()
+        rc = main(["eval", "--data", workspace["data"], "--checkpoint", ckpt,
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
         assert named in err
 
     def test_grayscale_channels_entry_still_loads(self, workspace, tmp_path):

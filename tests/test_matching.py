@@ -462,6 +462,30 @@ class TestEvaluate:
         assert sorted(calls) == sorted(p.patch_id for f in frames
                                        for p in f.patches)
 
+    def test_discriminator_products_made_once(self, monkeypatch):
+        # 100 rows run as two inference chunks; the flagship's products
+        # phi M are made once, one row per patch, not once per chunk
+        rng = np.random.default_rng(9)
+        frames = [make_frame(fid, [make_patch("%s/p%d" % (fid, i), fid,
+                                              (2.0 * i, 0.0, 10.0), rng=rng)
+                                   for i in range(10)])
+                  for fid in ("f0", "f1")]
+        entries = [PairEntry(a.patch_id, b.patch_id, int(i == j))
+                   for i, a in enumerate(frames[0].patches)
+                   for j, b in enumerate(frames[1].patches)]
+        corpus = PairCorpus.from_frames(frames, entries)
+        assert len(corpus.rows) > matching.INFERENCE_CHUNK
+        model = init_model(ModelConfig(n=8, k=3), seed=9)
+        products, phi_products = [], matching._phi_products
+
+        def counted(phi, disc):
+            products.append(phi.data.shape[0])
+            return phi_products(phi, disc)
+
+        monkeypatch.setattr(matching, "_phi_products", counted)
+        evaluate(corpus, model)
+        assert products == [20]
+
 
 class TestAblation:
     def test_cosine_identical_vectors(self):

@@ -457,35 +457,32 @@ class TestPlaceRecognitionEval:
         assert report.rows == expected
 
     def test_featurizes_and_tables_each_frame_once(self, monkeypatch):
-        """Over every pair of 4 frames, each patch is featurized once and
-        each frame's score tables are built once, not once per pair."""
+        """Over every pair of 4 frames, each patch is featurized once, and
+        the discriminator products are made once for the whole run, one row
+        per patch, not once per frame or per pair."""
         rng = np.random.default_rng(15)
         model = init_model(ModelConfig(n=8, k=3, featurizer="tiny_conv"),
                            seed=9)
         frames = [make_frame("f%d" % i, 3 + i, (6.0 * i, 0.0, 0.0), rng)
                   for i in range(4)]
         pairs = [(a, b) for i, a in enumerate(frames) for b in frames[i + 1:]]
-        featurized, tabled = [], []
-        featurize = matching.featurize
-        score_tables = matching.FrameIndex.score_tables
+        featurized, products = [], []
+        featurize, phi_products = matching.featurize, matching._phi_products
 
         def counted_featurize(patch, params):
             featurized.append(patch.patch_id)
             return featurize(patch, params)
 
-        def counted_score_tables(index, slots, model):
-            tabled.append(slots)
-            return score_tables(index, slots, model)
+        def counted_phi_products(phi, disc):
+            products.append(phi.data.shape[0])
+            return phi_products(phi, disc)
 
         monkeypatch.setattr(matching, "featurize", counted_featurize)
-        monkeypatch.setattr(matching.FrameIndex, "score_tables",
-                            counted_score_tables)
+        monkeypatch.setattr(matching, "_phi_products", counted_phi_products)
         place_recognition_eval(pairs, model, threshold=0.5)
         patches = [p.patch_id for f in frames for p in f.patches]
         assert sorted(featurized) == sorted(patches)
-        assert len(tabled) == len(frames)
-        slots = [s for call in tabled for s in call]
-        assert len(slots) == len(set(slots)) == len(patches)
+        assert products == [len(patches)]
 
     @pytest.mark.parametrize("dustbin", [DUSTBIN_DEFAULT, -5.0])
     def test_report_carries_largest_sinkhorn_residual(self, dustbin):

@@ -26,7 +26,10 @@
 # bitwise fixed point (Sinkhorn's early exit) long before the cap.  It
 # runs once more on data-12, a 12-scene dataset (24 frames, 276 frame
 # pairs), so threshold tuning and the confusion counts work on 138
-# validation pairs.
+# validation pairs.  eval (on the gcn-mean checkpoint and with
+# --perfect-oracle) and ablate run on data-few, the frames of data with at
+# most 5 pairs per scene: its 20 pairs name 32 of its 56 patches, and the
+# frame index embeds the other 24 too, which must change no output.
 #
 # The last blocks run place on data-empty, a copy of the dataset whose
 # first frame has no patches (left out with a warning); train and place on
@@ -105,6 +108,12 @@ pg place --data data --checkpoint gcn-mean/train/model.json \
 pg synth --seed 9 --set synth.scenes=12 --out data-12
 pg place --data data-12 --checkpoint gcn-mean/train/model.json \
     --out gcn-mean/place-12
+pg synth --seed 5 --set synth.scenes=4 --set synth.max_pairs=5 \
+    --out data-few
+pg eval --data data-few --checkpoint gcn-mean/train/model.json \
+    --out few/eval
+pg eval --data data-few --perfect-oracle --out few/oracle
+pg ablate --data data-few --out few/ablate $small
 
 cp -r data data-empty
 python3 - <<'EOF_EMPTY'
