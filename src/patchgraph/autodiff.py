@@ -569,7 +569,12 @@ def load_named_tensors(path):
     for name, rec in blob.items():
         try:
             shape = tuple(rec["shape"])
-            arr = np.asarray(rec["data"], dtype=np.float64)
+            data = rec["data"]
+            # asarray would take null as NaN and "2.5" or true as numbers
+            if not set(map(type, data)) <= {int, float}:
+                raise ValueError("checkpoint entry %r has data that are not "
+                                 "all numbers" % name)
+            arr = np.asarray(data, dtype=np.float64)
             if arr.size != (int(np.prod(shape)) if shape else 1):
                 raise ValueError("checkpoint entry %r has %d values for "
                                  "shape %r" % (name, arr.size, shape))

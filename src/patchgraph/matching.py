@@ -264,18 +264,6 @@ def discriminate(phi, psi, disc):
     return ad.sigmoid(logit)
 
 
-def table_scores(x, y):
-    """Directed scores sigmoid(phi^T M psi) of ``FrameIndex.score_tables``
-    rows: ``x`` rows (..., 4n) of the phi side against ``y`` rows of the psi
-    side, whose leading axes broadcast.  The products, last-axis sums and
-    sigmoid are those of ``discriminate``, in its order, so each score keeps
-    its bits."""
-    p = x * y
-    n = p.shape[-1] // 4
-    return ad.logistic(np.sum(p[..., :n], axis=-1)
-                       + np.sum(p[..., n:], axis=-1))
-
-
 def full_bilinear_score(phi, psi, disc):
     """Reference route through the fully assembled matrix (zero blocks and
     all); must agree with ``discriminate`` to machine precision."""
@@ -297,7 +285,7 @@ class FrameIndex:
     * every value that cannot change during the call, as one array with a
       row per slot, made for every slot in one pass on first use: ``f``
       unless a tape records a featurizer that trains, and in inference
-      ``rho``, ``g`` and the flagship's score tables ``xy``.
+      each scorer's score tables (``score_tables``).
 
     The keys are frame and patch ids, which repeat across datasets (``synth``
     names frames ``s000/a`` at every seed), so an index serves one call on
@@ -314,7 +302,8 @@ class FrameIndex:
         self.slots = {(frame.frame_id, patch.patch_id): slot
                       for slot, (patch, frame) in enumerate(self.patches)}
         self.cliques = {}      # slot -> vertex slots, center first
-        self.kept = {}         # field -> array with one row per slot
+        self.f = None          # (P, n) descriptors, once made
+        self.xy = {}           # scorer -> its (2, P, w) score tables
 
     @classmethod
     def for_rows(cls, rows):
@@ -352,10 +341,10 @@ class FrameIndex:
         if ad._grad_enabled and featurizer.trainable():
             return ad.stack_rows([featurize(self.patches[s][0], featurizer)
                                   for s in slots])
-        if "f" not in self.kept:
-            self.kept["f"] = np.stack([featurize(patch, featurizer).data
-                                       for patch, _ in self.patches])
-        return ad.constant(self.kept["f"][slots])
+        if self.f is None:
+            self.f = np.stack([featurize(patch, featurizer).data
+                               for patch, _ in self.patches])
+        return ad.constant(self.f[slots])
 
     def embed(self, slots, model, context):
         """Descriptor ``f`` of each slot and, with ``context``, its vertex
@@ -390,17 +379,8 @@ class FrameIndex:
 
     def tables(self, slots, model, fields):
         """{field: tensor with one row per slot} for the ensemble ``fields``.
-        Only ``f`` skips the graphs.  Without a tape, ``rho`` and ``g`` are
-        rows of the kept arrays, made for every slot on first use."""
-        context = set(fields) != {"f"}
-        if ad._grad_enabled or not context:
-            tables = self.embed(slots, model, context)
-        else:
-            if "g" not in self.kept:
-                t = self.embed(range(len(self.patches)), model, True)
-                self.kept.update(rho=t["rho"].data, g=t["g"].data)
-            tables = {f: ad.constant(self.kept[f][slots])
-                      for f in ("f", "rho", "g")}
+        Only ``f`` skips the graphs."""
+        tables = self.embed(slots, model, set(fields) != {"f"})
         if "phi" in fields:
             tables["phi"] = ad.concat([tables["rho"], tables["f"]])
         if "psi" in fields:
@@ -408,20 +388,13 @@ class FrameIndex:
                                        tables["f"]])
         return tables
 
-    def score_tables(self, model):
-        """The flagship discriminator's inference rows of every slot, made
-        once as one (2, P, 4n) array: x = rho M12 | f [M21 M22 M23] and
-        y = rho | psi, so phi_x^T M psi_y sums x_x * y_y over the first n
-        entries plus over the other 3n, and each patch meets M once, not
-        once per partner."""
-        if "xy" not in self.kept:
+    def score_tables(self, scorer):
+        """``scorer.tables(self)``, made once per scorer without a tape: the
+        (2, P, w) x and y rows of every slot, which ``scorer.pair`` scores."""
+        if scorer not in self.xy:
             with ad.no_grad():
-                t = self.tables(slice(None), model, ("phi", "psi"))
-                m12, m2 = _phi_products(t["phi"], model.disc)
-            self.kept["xy"] = np.stack([
-                np.concatenate([m12.data, m2.data], axis=1),
-                np.concatenate([t["rho"].data, t["psi"].data], axis=1)])
-        return self.kept["xy"]
+                self.xy[scorer] = scorer.tables(self)
+        return self.xy[scorer]
 
 
 # -- scoring ------------------------------------------------------------------
@@ -505,6 +478,38 @@ class VariantScorer:
         n = len(rows)
         return ad.slice1d(d, 0, n), ad.slice1d(d, n, 2 * n)
 
+    def tables(self, index):
+        """The (2, P, w) inference rows of every slot of ``index``.  A
+        bilinear form makes its one-row matrix products once per patch, on
+        the x side: the flagship's x = rho M12 | f [M21 M22 M23] against
+        y = rho | psi, another pairing's x = a M against y = b.  Cosine and
+        L2 keep x = a and y = b."""
+        t = index.tables(range(len(index.patches)), self.model, self.fields)
+        a, b = (t[field] for field in self.fields)
+        if self.discriminator != "bilinear":
+            x, y = a, b
+        elif self.pairing == "phi_psi":
+            x = ad.concat(_phi_products(a, self.model.disc))
+            y = ad.concat([t["rho"], b])
+        else:
+            x, y = _row_products(a, self.matrix), b
+        return np.stack([x.data, y.data])
+
+    def pair(self, x, y):
+        """Directed scores of ``tables`` rows ``x`` against ``y``, whose
+        leading axes broadcast, symmetric in the two.  The operations and
+        their order are those of ``score_rows``, so each score keeps its
+        bits: the flagship sums its first n products apart, as
+        ``discriminate`` does."""
+        if self.discriminator != "bilinear":
+            return self._directed(ad.constant(x), ad.constant(y)).data
+        p = x * y
+        if self.pairing != "phi_psi":
+            return ad.logistic(np.sum(p, axis=-1))
+        n = p.shape[-1] // 4
+        return ad.logistic(np.sum(p[..., :n], axis=-1)
+                           + np.sum(p[..., n:], axis=-1))
+
     def trainable(self):
         if self.discriminator != "bilinear":
             return []
@@ -512,14 +517,6 @@ class VariantScorer:
             return self.model.trainable()
         return (self.model.featurizer.trainable()
                 + self.model.gnn.trainable() + [self.matrix])
-
-
-def reads_tables(scorer):
-    """Whether ``scorer`` scores inference from the ``FrameIndex`` score
-    tables: the flagship (phi_psi, bilinear) ``VariantScorer`` does, every
-    other scorer goes through ``score_rows``."""
-    return (isinstance(scorer, VariantScorer) and scorer.pairing == "phi_psi"
-            and scorer.discriminator == "bilinear")
 
 
 # Rows per batched pass at inference, and INFERENCE_CHUNK**2 patch pairs per
@@ -531,23 +528,19 @@ INFERENCE_CHUNK = 64
 
 def symmetric_scores(rows, scorer, cache=None):
     """Inference scores (d_xy + d_yx) / 2 for rows that start with
-    (patch_x, frame_x, patch_y, frame_y); each patch is embedded once per
-    ``cache`` (a ``FrameIndex``)."""
+    (patch_x, frame_x, patch_y, frame_y): ``scorer.pair`` over the rows'
+    entries of the score tables of ``cache`` (a ``FrameIndex``), gathered
+    per chunk of INFERENCE_CHUNK rows, both directions in one pass."""
     cache = FrameIndex.for_rows(rows) if cache is None else cache
-    xy = cache.score_tables(scorer.model) if reads_tables(scorer) else None
+    xy = cache.score_tables(scorer)
     scores = []
-    with ad.no_grad():
-        for start in range(0, len(rows), INFERENCE_CHUNK):
-            chunk = rows[start:start + INFERENCE_CHUNK]
-            if xy is not None:
-                slots, ix, iy = cache.row_slots(chunk)
-                x, y = xy[:, slots]
-                # both directions in one pass: rows (x, y) then rows (y, x)
-                d = table_scores(x[ix + iy], y[iy + ix])
-                d_xy, d_yx = d[:len(chunk)], d[len(chunk):]
-            else:
-                d_xy, d_yx = (d.data for d in scorer.score_rows(chunk, cache))
-            scores.extend((0.5 * (d_xy + d_yx)).tolist())
+    for start in range(0, len(rows), INFERENCE_CHUNK):
+        chunk = rows[start:start + INFERENCE_CHUNK]
+        slots, ix, iy = cache.row_slots(chunk)
+        x, y = xy[:, slots]
+        # rows (x, y) then rows (y, x)
+        d = scorer.pair(x[ix + iy], y[iy + ix])
+        scores.extend((0.5 * (d[:len(chunk)] + d[len(chunk):])).tolist())
     return scores
 
 

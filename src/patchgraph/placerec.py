@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SCHEMA
-from .matching import (INFERENCE_CHUNK, FrameIndex, VariantScorer, confusion,
-                       reads_tables, symmetric_scores, table_scores)
+from .matching import INFERENCE_CHUNK, FrameIndex, VariantScorer, confusion
 from .seeds import rng_for
 
 SAME_PLACE_RADIUS_M = SCHEMA["place.radius"][0]
@@ -31,28 +30,23 @@ SINKHORN_RESIDUAL_TOL = 1e-6
 
 def score_matrix(frame_a, frame_b, model, scorer=None, cache=None):
     """The (A, B) array S[i][j] = symmetric match score between patch i of
-    frame A and patch j of frame B, scored as one batch; embeddings are
-    computed once per patch, and once across calls that share ``cache`` (a
-    ``matching.FrameIndex`` over both frames).  The flagship scorer reads
-    each frame's slice of the score tables and scores both directions as
-    one broadcast over blocks of A's rows that hold at most
-    INFERENCE_CHUNK**2 patch pairs each; any other scorer the A*B rows."""
+    frame A and patch j of frame B.  Each frame's rows are its slice of the
+    scorer's score tables in ``cache`` (a ``matching.FrameIndex`` over both
+    frames), made once per patch, and once across calls that share the
+    cache and the scorer; ``scorer.pair`` scores both directions as one
+    broadcast over blocks of A's rows that hold at most INFERENCE_CHUNK**2
+    patch pairs each."""
     if not frame_a.patches or not frame_b.patches:
         raise ValueError("both frames need at least one patch")
     scorer = VariantScorer(model) if scorer is None else scorer
     cache = FrameIndex([frame_a, frame_b]) if cache is None else cache
-    if reads_tables(scorer):
-        xy = cache.score_tables(scorer.model)
-        a, b = (xy[:, cache.frame_slots(f)] for f in (frame_a, frame_b))
-        # (2, A, B): A's x rows against B's y rows, then A's y against B's x
-        step = max(1, INFERENCE_CHUNK ** 2 // b.shape[1])
-        d = np.concatenate([table_scores(a[:, i:i + step, None], b[::-1, None])
-                            for i in range(0, a.shape[1], step)], axis=1)
-        return 0.5 * (d[0] + d[1])
-    rows = [(pa, frame_a, pb, frame_b) for pa in frame_a.patches
-            for pb in frame_b.patches]
-    return np.reshape(symmetric_scores(rows, scorer, cache),
-                      (len(frame_a.patches), len(frame_b.patches)))
+    xy = cache.score_tables(scorer)
+    a, b = (xy[:, cache.frame_slots(f)] for f in (frame_a, frame_b))
+    # (2, A, B): A's x rows against B's y rows, then A's y against B's x
+    step = max(1, INFERENCE_CHUNK ** 2 // b.shape[1])
+    d = np.concatenate([scorer.pair(a[:, i:i + step, None], b[::-1, None])
+                        for i in range(0, a.shape[1], step)], axis=1)
+    return 0.5 * (d[0] + d[1])
 
 
 def sinkhorn_assign(scores, dustbin=DUSTBIN_DEFAULT, iterations=SINKHORN_ITERS,
@@ -162,6 +156,7 @@ def place_recognition_eval(frame_pairs, model, threshold=None, seed=0,
                          "frame pairs, got %d; set place.tune=false to use "
                          "place.gamma_f" % len(frame_pairs))
     cache = FrameIndex(frame for pair in frame_pairs for frame in pair)
+    scorer = VariantScorer(model) if scorer is None else scorer
     scored = []
     residual = 0.0
     for fa, fb in frame_pairs:

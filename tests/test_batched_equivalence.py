@@ -8,8 +8,9 @@ with the 1-d ``discriminate`` (or the variant's bilinear form), and sums
 the loss one directed score at a time.  Scores, loss and gradients must
 agree to 1e-12.
 
-Inference with the flagship scorer reads per-patch score tables instead
-(``FrameIndex.score_tables``); its scores must equal those of
+Inference reads per-patch score tables instead
+(``FrameIndex.score_tables``) and scores them with the scorer's ``pair``;
+for every pairing and discriminator its scores must equal those of
 ``score_rows`` bit for bit.
 """
 
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 import patchgraph.autodiff as ad
 from patchgraph.gnn import gat_layer, init_gnn
 from patchgraph.matching import (
+    DISCRIMINATORS,
     PAIRINGS,
     SCORE_CLAMP,
     FrameIndex,
@@ -160,19 +162,22 @@ def test_ragged_frames_and_repeated_patches(arch, pool):
 
 
 def row_route(rows, scorer):
-    """Symmetric inference scores through ``score_rows``: the route of
-    every scorer without score tables."""
+    """Symmetric inference scores through ``score_rows``, the tape route of
+    training and ``match_score``."""
     with ad.no_grad():
         d_xy, d_yx = scorer.score_rows(rows)
     return 0.5 * (d_xy.data + d_yx.data)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_score_tables_match_the_row_route_bit_for_bit(data):
-    """``score_matrix`` and ``symmetric_scores`` read the flagship's score
-    tables; both must give the bytes of the ``score_rows`` route, and a
-    frame pair's matrix must be the exact transpose of the swapped pair's."""
+    """``score_matrix`` and ``symmetric_scores`` read a scorer's score
+    tables, for each of the 15 pairings x discriminators; both must give
+    the bytes of the ``score_rows`` route, and a frame pair's matrix must
+    be the exact transpose of the swapped pair's."""
+    pairing, discriminator = data.draw(st.sampled_from(
+        list(itertools.product(PAIRINGS, DISCRIMINATORS))), label="scorer")
     arch = data.draw(st.sampled_from(ARCHITECTURES), label="arch")
     pool = data.draw(st.sampled_from(("mean", "max")), label="pool")
     descriptors = data.draw(st.sampled_from(
@@ -189,17 +194,17 @@ def test_score_tables_match_the_row_route_bit_for_bit(data):
         n=n, k=k, heads=2, architecture=arch, pool=pool,
         featurizer="tiny_conv" if descriptors == "tiny_conv"
         else "fixed_hist"), seed)
-    scorer = VariantScorer(model)
+    scorer = VariantScorer(model, pairing, discriminator, seed=seed)
     index = FrameIndex(frames)
     for fa, fb in itertools.combinations(frames, 2):
         rows = [(pa, fa, pb, fb) for pa in fa.patches for pb in fb.patches]
         want = row_route(rows, scorer).reshape(len(fa.patches),
                                                len(fb.patches))
         for cache in (None, index):
-            ab = score_matrix(fa, fb, model, cache=cache)
+            ab = score_matrix(fa, fb, model, scorer, cache)
             assert ab.tobytes() == want.tobytes()
-            assert ab.tobytes() == score_matrix(fb, fa, model,
-                                                cache=cache).T.tobytes()
+            assert ab.tobytes() == score_matrix(fb, fa, model, scorer,
+                                                cache).T.tobytes()
     patches = [(p, f) for f in frames for p in f.patches]
     picks = data.draw(st.lists(
         st.tuples(st.integers(0, len(patches) - 1),

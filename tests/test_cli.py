@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from patchgraph import scene
-from patchgraph.cli import main
+from patchgraph.cli import OracleScorer, main
+from patchgraph.matching import PairCorpus, evaluate
+from patchgraph.placerec import score_matrix
 
 TINY_MODEL = ["--set", "model.n=8", "--set", "model.k=2",
               "--set", "model.arch=gcn", "--set", "model.featurizer=fixed_hist"]
@@ -40,6 +42,16 @@ def edited_checkpoint(workspace, tmp_path, config):
     with open(ckpt + ".config.json", "w") as fh:
         json.dump(config, fh)
     return ckpt
+
+
+def first_value(value):
+    """A checkpoint edit that makes ``value`` the first value of disc.m21's
+    data."""
+    def edit(tensors):
+        entry = tensors["disc.m21"]
+        return dict(tensors, **{"disc.m21": dict(
+            entry, data=[value] + entry["data"][1:])})
+    return edit
 
 
 def replace_image(data, patch_id, content):
@@ -161,6 +173,29 @@ class TestEval:
         assert rep["auc"] == 1.0
         assert rep["perfect_oracle"] is True
         assert rep["fn"] == 0 and rep["fp"] == 0
+
+    def test_oracle_scores_landmark_identity(self):
+        """0.99 for the same landmark id, 0.01 for different ids and for two
+        patches that both lack one, through ``score_matrix`` and
+        ``evaluate``.  A manifest id may be any JSON value, a list too."""
+        def frame(fid, ids):
+            camera = scene.standard_camera(position=(0.0, 0.0, 0.0))
+            return scene.Frame(fid, camera, np.zeros(3), [
+                scene.Patch("%s/p%d" % (fid, i), fid, (0.0, 0.0, 4.0, 4.0),
+                            np.zeros((2, 2), dtype=np.uint8), np.zeros(3),
+                            landmark_id=lid) for i, lid in enumerate(ids)])
+
+        fa = frame("a", ["lm0", "lm1", None, [7]])
+        fb = frame("b", ["lm1", None, [7]])
+        want = [[0.01, 0.01, 0.01], [0.99, 0.01, 0.01], [0.01, 0.01, 0.01],
+                [0.01, 0.01, 0.99]]
+        oracle = OracleScorer()
+        assert score_matrix(fa, fb, None, oracle).tolist() == want
+        assert score_matrix(fb, fa, None, oracle).T.tolist() == want
+        corpus = PairCorpus([(pa, fa, pb, fb, 0) for pa in fa.patches
+                             for pb in fb.patches])
+        scores = evaluate(corpus, None, gamma=0.5, scorer=oracle)["scores"]
+        assert scores == [s for row in want for s in row]
 
     def test_trained_checkpoint_runs(self, workspace, tmp_path):
         out = str(tmp_path / "ev")
@@ -541,6 +576,9 @@ class TestErrors:
             tensors["disc.m12"], shape=3)}), "'disc.m12'", id="shape_number"),
         pytest.param(lambda tensors: dict(tensors, **{"disc.m12": dict(
             tensors["disc.m12"], data=[{}])}), "'disc.m12'", id="data_object"),
+        pytest.param(first_value(None), "'disc.m21'", id="data_null"),
+        pytest.param(first_value("2.5"), "'disc.m21'", id="data_string"),
+        pytest.param(first_value(True), "'disc.m21'", id="data_bool"),
     ])
     def test_malformed_checkpoint_tensors_exit_1(self, workspace, tmp_path,
                                                  capsys, edit, named):

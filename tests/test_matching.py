@@ -369,18 +369,23 @@ class TestTraining:
 
 
 class FixedScorer:
-    """Evaluation stub returning canned symmetric scores."""
+    """Evaluation stub returning canned symmetric scores: a slot's x row is
+    its row of the (P, P) canned score matrix, filled in both directions,
+    and its y row picks its column, so ``pair`` reads the canned score."""
 
     def __init__(self, table):
         self.table = table
 
-    def score_rows(self, rows, cache=None):
-        s = ad.constant([self.table[(px.patch_id, py.patch_id)]
-                         for px, _, py, _, *_ in rows])
-        return s, s
+    def tables(self, index):
+        slot = {patch.patch_id: s
+                for s, (patch, _) in enumerate(index.patches)}
+        scores = np.zeros((len(slot), len(slot)))
+        for (a, b), s in self.table.items():
+            scores[slot[a], slot[b]] = scores[slot[b], slot[a]] = s
+        return np.stack([scores, np.eye(len(slot))])
 
-    def trainable(self):
-        return []
+    def pair(self, x, y):
+        return np.sum(x * y, axis=-1)
 
 
 class TestEvaluate:

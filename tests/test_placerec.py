@@ -376,14 +376,13 @@ class PlaceScorer:
     def __init__(self, high=0.9, low=0.1):
         self.high, self.low = high, low
 
-    def score_rows(self, rows, cache=None):
-        s = ad.constant([
-            self.high if np.linalg.norm(fx.position - fy.position) < 10.0
-            else self.low for _, fx, _, fy, *_ in rows])
-        return s, s
+    def tables(self, index):
+        positions = np.array([frame.position for _, frame in index.patches])
+        return np.stack([positions, positions])
 
-    def trainable(self):
-        return []
+    def pair(self, x, y):
+        return np.where(np.linalg.norm(x - y, axis=-1) < 10.0,
+                        self.high, self.low)
 
 
 class TestPlaceRecognitionEval:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import patchgraph.autodiff as ad
 from patchgraph.matching import ModelConfig, init_model
 from patchgraph.scene import (
     Landmark3D,
@@ -159,17 +158,17 @@ class TestSyntheticStereo:
 
 
 class LandmarkScorer:
-    """Stub: same landmark scores high, otherwise low."""
+    """Stub: same landmark scores high, otherwise low.  A slot's rows hold
+    its landmark id's index, or NaN, which equals nothing, without one."""
 
-    def score_rows(self, rows, cache=None):
-        s = ad.constant([
-            0.99 if px.landmark_id is not None
-            and px.landmark_id == py.landmark_id else 0.05
-            for px, _, py, _, *_ in rows])
-        return s, s
+    def tables(self, index):
+        ids = [patch.landmark_id for patch, _ in index.patches]
+        rows = np.array([[np.nan if i is None else ids.index(i)]
+                         for i in ids], dtype=np.float64)
+        return np.stack([rows, rows])
 
-    def trainable(self):
-        return []
+    def pair(self, x, y):
+        return np.where(x[..., 0] == y[..., 0], 0.99, 0.05)
 
 
 class TestEstimateDepths:

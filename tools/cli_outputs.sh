@@ -32,7 +32,10 @@
 # frame index embeds the other 24 too, which must change no output.
 #
 # The last blocks run place on data-empty, a copy of the dataset whose
-# first frame has no patches (left out with a warning); train and place on
+# first frame has no patches (left out with a warning); eval
+# --perfect-oracle on data-noid, a copy of the dataset with landmark_id
+# dropped from every third patch, so pairs of two patches without an id
+# reach the oracle (synth patches always carry one); train and place on
 # data-bad, a copy of the dataset with three bad records (an image path
 # that is a directory, a 2-vector loc3d, a NaN frame position), so the
 # comparison covers the diagnostics path too; and an eval that fails at
@@ -127,6 +130,20 @@ with open(path, "w") as fh:
 EOF_EMPTY
 pg place --data data-empty --checkpoint gcn-mean/train/model.json \
     --out empty/place
+
+cp -r data data-noid
+python3 - <<'EOF_NOID'
+import json
+path = "data-noid/manifest.jsonl"
+with open(path) as fh:
+    frames = [json.loads(line) for line in fh]
+for frame in frames:
+    for rec in frame["patches"][::3]:
+        del rec["landmark_id"]
+with open(path, "w") as fh:
+    fh.writelines(json.dumps(frame) + "\n" for frame in frames)
+EOF_NOID
+pg eval --data data-noid --perfect-oracle --out noid/oracle
 
 cp -r data data-bad
 python3 - <<'EOF_BAD'
