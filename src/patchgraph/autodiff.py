@@ -575,6 +575,10 @@ def load_named_tensors(path):
                 raise ValueError("checkpoint entry %r has data that are not "
                                  "all numbers" % name)
             arr = np.asarray(data, dtype=np.float64)
+            # json reads NaN, Infinity and -Infinity as floats
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("checkpoint entry %r has values that are "
+                                 "not finite" % name)
             if arr.size != (int(np.prod(shape)) if shape else 1):
                 raise ValueError("checkpoint entry %r has %d values for "
                                  "shape %r" % (name, arr.size, shape))

@@ -231,12 +231,6 @@ def _row_products(a, m):
                       lead + (m.data.shape[-1],))
 
 
-def _bilinear(a, m, b):
-    """a^T M b for matching rows of two stacks of vectors (..., w); the
-    last-axis sum is taken row by row."""
-    return ad.tsum(_row_products(a, m) * b, axis=-1)
-
-
 def _phi_products(phi, disc):
     """The two discriminator products of phi = rho | f, one row per row of
     ``phi``: rho M12 (..., n) and f [M21 M22 M23] (..., 3n)."""
@@ -246,9 +240,27 @@ def _phi_products(phi, disc):
                           ad.concat([disc.m21, disc.m22, disc.m23])))
 
 
+def _block_operands(phi, psi, disc):
+    """The flagship's operands, both 4n wide: x = rho M12 | f [M21 M22 M23]
+    holds phi's products with the blocks, and y = rho | psi."""
+    n = disc.n
+    return (ad.concat(_phi_products(phi, disc)),
+            ad.concat([ad.slice1d(psi, n, 2 * n), psi]))
+
+
+def _block_pair(x, y):
+    """sigmoid(rho_x M12 rho_y + f_x [M21 M22 M23] psi_y) of operands x and
+    y: the sum of x * y over the first n entries plus the sum over the
+    other 3n."""
+    p = x * y
+    n = p.data.shape[-1] // 4
+    return ad.sigmoid(ad.tsum(ad.slice1d(p, 0, n), axis=-1)
+                      + ad.tsum(ad.slice1d(p, n, 4 * n), axis=-1))
+
+
 def discriminate(phi, psi, disc):
-    """Directed score sigmoid(phi^T M psi) via the four nonzero blocks:
-    rho_x M12 rho_y + f_x [M21 M22 M23] psi_y.
+    """Directed score sigmoid(phi^T M psi) via the four nonzero blocks: the
+    flagship's ``_block_pair`` of its ``_block_operands``.
 
     ``phi`` (..., 2n) and ``psi`` (..., 3n) are single vectors or stacks of
     them whose leading axes broadcast; one score per stacked pair.
@@ -258,10 +270,7 @@ def discriminate(phi, psi, disc):
         raise ValueError("expected phi of length %d and psi of length %d, "
                          "got %r and %r" % (2 * n, 3 * n, phi.data.shape,
                                             psi.data.shape))
-    rho_m12, f_m2 = _phi_products(phi, disc)
-    logit = (ad.tsum(rho_m12 * ad.slice1d(psi, n, 2 * n), axis=-1)
-             + ad.tsum(f_m2 * psi, axis=-1))
-    return ad.sigmoid(logit)
+    return _block_pair(*_block_operands(phi, psi, disc))
 
 
 def full_bilinear_score(phi, psi, disc):
@@ -346,12 +355,12 @@ class FrameIndex:
                                for patch, _ in self.patches])
         return ad.constant(self.f[slots])
 
-    def embed(self, slots, model, context):
-        """Descriptor ``f`` of each slot and, with ``context``, its vertex
-        embedding ``rho`` and graph embedding ``g``: (len(slots), n) tensors.
-        The cliques are grouped by size, and each group runs through
-        ``embed_graph`` as one stack."""
-        if not context:
+    def embed(self, slots, model, fields):
+        """{field: tensor with one row per slot} for the ensemble ``fields``,
+        with ``f``, ``rho`` and ``g`` too unless ``fields`` read only ``f``,
+        which skips the graphs.  The cliques are grouped by size, and each
+        group runs through ``embed_graph`` as one stack."""
+        if set(fields) == {"f"}:
             return {"f": self.descriptors(slots, model.featurizer)}
         groups = {}
         for slot in slots:
@@ -373,20 +382,14 @@ class FrameIndex:
         # back from group order to the order of ``slots``
         at = {slot: i for i, (slot, _) in enumerate(members)}
         back = [at[slot] for slot in slots]
-        return {"f": ad.take(table, [vertex_rows[s] for s in slots]),
-                "rho": ad.take(ad.concat(rho, axis=0), back),
-                "g": ad.take(ad.concat(g, axis=0), back)}
-
-    def tables(self, slots, model, fields):
-        """{field: tensor with one row per slot} for the ensemble ``fields``.
-        Only ``f`` skips the graphs."""
-        tables = self.embed(slots, model, set(fields) != {"f"})
+        t = {"f": ad.take(table, [vertex_rows[s] for s in slots]),
+             "rho": ad.take(ad.concat(rho, axis=0), back),
+             "g": ad.take(ad.concat(g, axis=0), back)}
         if "phi" in fields:
-            tables["phi"] = ad.concat([tables["rho"], tables["f"]])
+            t["phi"] = ad.concat([t["rho"], t["f"]])
         if "psi" in fields:
-            tables["psi"] = ad.concat([tables["g"], tables["rho"],
-                                       tables["f"]])
-        return tables
+            t["psi"] = ad.concat([t["g"], t["rho"], t["f"]])
+        return t
 
     def score_tables(self, scorer):
         """``scorer.tables(self)``, made once per scorer without a tape: the
@@ -424,6 +427,11 @@ def _l2_score(a, b):
     return ad.exp(-ad.sqrt(ad.tsum(diff * diff, axis=-1)))
 
 
+def _sigmoid_dot(x, y):
+    """sigmoid(a^T M b) of a plain bilinear form's operands x = a M, y = b."""
+    return ad.sigmoid(ad.tsum(x * y, axis=-1))
+
+
 class VariantScorer:
     """Directed scores for one embedding pairing x one discriminator family.
 
@@ -432,6 +440,11 @@ class VariantScorer:
     are the ablation variants; their bilinear form is a plain square
     matrix.  The cosine and L2 discriminators need equal-length operands,
     so the phi_psi pairing falls back to comparing the two psi vectors.
+
+    Each score is defined once, as the tape function ``_pair`` of the
+    ``operands`` of the pairing's rows: training applies both to the
+    gathered rows (``score_rows``), inference ``operands`` to every slot
+    (``tables``) and ``_pair`` to the kept rows (``pair``).
     """
 
     def __init__(self, model, pairing="phi_psi", discriminator="bilinear",
@@ -451,18 +464,20 @@ class VariantScorer:
             rng = rng_for(seed, "ablation/" + pairing)
             self.matrix = ad.parameter(
                 rng.uniform(-1.0 / width, 1.0 / width, size=(width, width)))
+        self._pair = {"cosine": _cosine_score, "l2": _l2_score}.get(
+            discriminator, _block_pair if self.matrix is None else _sigmoid_dot)
         if discriminator != "bilinear" and pairing == "phi_psi":
             pairing = "psi_psi"
         self.fields = tuple(pairing.split("_"))
 
-    def _directed(self, a, b):
-        if self.discriminator == "bilinear":
-            if self.pairing == "phi_psi":
-                return discriminate(a, b, self.model.disc)
-            return ad.sigmoid(_bilinear(a, self.matrix, b))
-        if self.discriminator == "cosine":
-            return _cosine_score(a, b)
-        return _l2_score(a, b)
+    def operands(self, a, b):
+        """Rows (x, y) of the pairing's rows ``a`` and ``b``; a bilinear form
+        puts its one-row products on the x side."""
+        if self._pair is _block_pair:
+            return _block_operands(a, b, self.model.disc)
+        if self.matrix is not None:
+            return _row_products(a, self.matrix), b
+        return a, b
 
     def score_rows(self, rows, cache=None):
         """Directed scores (d_xy, d_yx), each an (N,) tensor, for N rows that
@@ -470,45 +485,26 @@ class VariantScorer:
         call's ``FrameIndex``; each distinct patch is embedded once."""
         index = FrameIndex.for_rows(rows) if cache is None else cache
         slots, ix, iy = index.row_slots(rows)
-        tables = index.tables(slots, self.model, self.fields)
+        t = index.embed(slots, self.model, self.fields)
         field_x, field_y = self.fields
         # both directions in one pass: rows (x, y) then rows (y, x)
-        d = self._directed(ad.take(tables[field_x], ix + iy),
-                           ad.take(tables[field_y], iy + ix))
+        a, b = ad.take(t[field_x], ix + iy), ad.take(t[field_y], iy + ix)
+        d = (discriminate(a, b, self.model.disc) if self._pair is _block_pair
+             else self._pair(*self.operands(a, b)))
         n = len(rows)
         return ad.slice1d(d, 0, n), ad.slice1d(d, n, 2 * n)
 
     def tables(self, index):
-        """The (2, P, w) inference rows of every slot of ``index``.  A
-        bilinear form makes its one-row matrix products once per patch, on
-        the x side: the flagship's x = rho M12 | f [M21 M22 M23] against
-        y = rho | psi, another pairing's x = a M against y = b.  Cosine and
-        L2 keep x = a and y = b."""
-        t = index.tables(range(len(index.patches)), self.model, self.fields)
-        a, b = (t[field] for field in self.fields)
-        if self.discriminator != "bilinear":
-            x, y = a, b
-        elif self.pairing == "phi_psi":
-            x = ad.concat(_phi_products(a, self.model.disc))
-            y = ad.concat([t["rho"], b])
-        else:
-            x, y = _row_products(a, self.matrix), b
-        return np.stack([x.data, y.data])
+        """The (2, P, w) ``operands`` of every slot of ``index``."""
+        t = index.embed(range(len(index.patches)), self.model, self.fields)
+        return np.stack([v.data for v in
+                         self.operands(*(t[field] for field in self.fields))])
 
     def pair(self, x, y):
-        """Directed scores of ``tables`` rows ``x`` against ``y``, whose
-        leading axes broadcast, symmetric in the two.  The operations and
-        their order are those of ``score_rows``, so each score keeps its
-        bits: the flagship sums its first n products apart, as
-        ``discriminate`` does."""
-        if self.discriminator != "bilinear":
-            return self._directed(ad.constant(x), ad.constant(y)).data
-        p = x * y
-        if self.pairing != "phi_psi":
-            return ad.logistic(np.sum(p, axis=-1))
-        n = p.shape[-1] // 4
-        return ad.logistic(np.sum(p[..., :n], axis=-1)
-                           + np.sum(p[..., n:], axis=-1))
+        """Directed scores of ``tables`` rows ``x`` against ``y``, arrays
+        whose leading axes broadcast: ``_pair`` on them as constants, so
+        each score has the bits of ``score_rows``."""
+        return self._pair(ad.constant(x), ad.constant(y)).data
 
     def trainable(self):
         if self.discriminator != "bilinear":

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 
@@ -579,6 +580,9 @@ class TestErrors:
         pytest.param(first_value(None), "'disc.m21'", id="data_null"),
         pytest.param(first_value("2.5"), "'disc.m21'", id="data_string"),
         pytest.param(first_value(True), "'disc.m21'", id="data_bool"),
+        pytest.param(first_value(math.nan), "'disc.m21'", id="data_nan"),
+        pytest.param(first_value(math.inf), "'disc.m21'", id="data_inf"),
+        pytest.param(first_value(-math.inf), "'disc.m21'", id="data_neg_inf"),
     ])
     def test_malformed_checkpoint_tensors_exit_1(self, workspace, tmp_path,
                                                  capsys, edit, named):
@@ -594,6 +598,24 @@ class TestErrors:
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
         assert named in err
+
+    def test_non_finite_checkpoint_place_exits_1(self, workspace, tmp_path,
+                                                 capsys):
+        ckpt = edited_checkpoint(workspace, tmp_path, read_json(
+            workspace["checkpoint"] + ".config.json"))
+        with open(ckpt, "w") as fh:
+            json.dump(first_value(math.nan)(
+                read_json(workspace["checkpoint"])), fh)
+        capsys.readouterr()
+        out = tmp_path / "p"
+        rc = main(["place", "--data", workspace["data"], "--checkpoint",
+                   ckpt, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert "'disc.m21'" in err
+        assert not out.exists()
 
     def test_grayscale_channels_entry_still_loads(self, workspace, tmp_path):
         # checkpoints written before patches were grayscale-only carry

@@ -144,6 +144,20 @@ class TestDiscriminator:
             worst = max(worst, abs(a - b))
         assert worst < 1e-12
 
+    def test_leading_axes_broadcast_bit_for_bit(self):
+        # (A, 1, 2n) phi against (1, B, 3n) psi: one score per pair, each
+        # with the bits of its own 1-d call
+        rng = np.random.default_rng(5)
+        disc = init_discriminator(8, seed=6)
+        phi = rng.standard_normal((5, 16))
+        psi = rng.standard_normal((3, 24))
+        got = discriminate(ad.constant(phi[:, None]),
+                           ad.constant(psi[None]), disc).data
+        want = [[float(discriminate(ad.constant(p), ad.constant(q),
+                                    disc).data) for q in psi] for p in phi]
+        assert got.shape == (5, 3)
+        assert got.tobytes() == np.array(want).tobytes()
+
     def test_full_matrix_zero_blocks_are_zero(self):
         disc = init_discriminator(5, seed=2)
         full = disc.full_matrix()

@@ -30,6 +30,8 @@
 # --perfect-oracle) and ablate run on data-few, the frames of data with at
 # most 5 pairs per scene: its 20 pairs name 32 of its 56 patches, and the
 # frame index embeds the other 24 too, which must change no output.
+# ablate runs there again with the tiny_conv featurizer, so every bilinear
+# pairing, not only the flagship, trains with a featurizer that trains.
 #
 # The last blocks run place on data-empty, a copy of the dataset whose
 # first frame has no patches (left out with a warning); eval
@@ -117,6 +119,8 @@ pg eval --data data-few --checkpoint gcn-mean/train/model.json \
     --out few/eval
 pg eval --data data-few --perfect-oracle --out few/oracle
 pg ablate --data data-few --out few/ablate $small
+pg ablate --data data-few --out few/ablate-tiny_conv $small \
+    --set model.featurizer=tiny_conv
 
 cp -r data data-empty
 python3 - <<'EOF_EMPTY'
