@@ -17,9 +17,10 @@ d(phi, psi) = sigmoid(phi^T M psi), with M the 2n x 3n matrix
       [ 0    M12  0   ]
   M = [ M21  M22  M23 ]
 
-whose zero blocks are structural (never trained, never stored).  The match
-score averages both directions; training minimizes a binary-information
-loss over labeled pairs.
+whose zero blocks are structural (never trained, never stored).  A score
+is the dot product of x = phi M with y = psi, both of length 3n.  The
+match score averages both directions; training minimizes a
+binary-information loss over labeled pairs.
 """
 
 import json
@@ -98,15 +99,16 @@ class DiscriminatorParams:
     def named_tensors(self):
         return {"disc." + k: v for k, v in self.blocks().items()}
 
+    def matrix(self):
+        """The 2n x 3n M as one tensor built from the four blocks; its zero
+        blocks are constants, so only the blocks receive gradients."""
+        zero = ad.constant(np.zeros((self.n, self.n)))
+        return ad.concat([ad.concat([zero, self.m12, zero]),
+                          ad.concat([self.m21, self.m22, self.m23])], axis=0)
+
     def full_matrix(self):
-        """The assembled 2n x 3n matrix with structural zero blocks."""
-        n = self.n
-        full = np.zeros((2 * n, 3 * n))
-        full[:n, n:2 * n] = self.m12.data
-        full[n:, :n] = self.m21.data
-        full[n:, n:2 * n] = self.m22.data
-        full[n:, 2 * n:] = self.m23.data
-        return full
+        """``matrix()`` as an array."""
+        return self.matrix().data
 
 
 def init_discriminator(n, seed):
@@ -231,36 +233,14 @@ def _row_products(a, m):
                       lead + (m.data.shape[-1],))
 
 
-def _phi_products(phi, disc):
-    """The two discriminator products of phi = rho | f, one row per row of
-    ``phi``: rho M12 (..., n) and f [M21 M22 M23] (..., 3n)."""
-    n = disc.n
-    return (_row_products(ad.slice1d(phi, 0, n), disc.m12),
-            _row_products(ad.slice1d(phi, n, 2 * n),
-                          ad.concat([disc.m21, disc.m22, disc.m23])))
-
-
-def _block_operands(phi, psi, disc):
-    """The flagship's operands, both 4n wide: x = rho M12 | f [M21 M22 M23]
-    holds phi's products with the blocks, and y = rho | psi."""
-    n = disc.n
-    return (ad.concat(_phi_products(phi, disc)),
-            ad.concat([ad.slice1d(psi, n, 2 * n), psi]))
-
-
-def _block_pair(x, y):
-    """sigmoid(rho_x M12 rho_y + f_x [M21 M22 M23] psi_y) of operands x and
-    y: the sum of x * y over the first n entries plus the sum over the
-    other 3n."""
-    p = x * y
-    n = p.data.shape[-1] // 4
-    return ad.sigmoid(ad.tsum(ad.slice1d(p, 0, n), axis=-1)
-                      + ad.tsum(ad.slice1d(p, n, 4 * n), axis=-1))
+def _sigmoid_dot(x, y):
+    """sigmoid(a^T M b) of a bilinear form's operands x = a M and y = b."""
+    return ad.sigmoid(ad.tsum(x * y, axis=-1))
 
 
 def discriminate(phi, psi, disc):
-    """Directed score sigmoid(phi^T M psi) via the four nonzero blocks: the
-    flagship's ``_block_pair`` of its ``_block_operands``.
+    """Directed score sigmoid(phi^T M psi): ``_sigmoid_dot`` of phi M
+    against psi, as for every bilinear scorer.
 
     ``phi`` (..., 2n) and ``psi`` (..., 3n) are single vectors or stacks of
     them whose leading axes broadcast; one score per stacked pair.
@@ -270,7 +250,7 @@ def discriminate(phi, psi, disc):
         raise ValueError("expected phi of length %d and psi of length %d, "
                          "got %r and %r" % (2 * n, 3 * n, phi.data.shape,
                                             psi.data.shape))
-    return _block_pair(*_block_operands(phi, psi, disc))
+    return _sigmoid_dot(_row_products(phi, disc.matrix()), psi)
 
 
 def full_bilinear_score(phi, psi, disc):
@@ -427,11 +407,6 @@ def _l2_score(a, b):
     return ad.exp(-ad.sqrt(ad.tsum(diff * diff, axis=-1)))
 
 
-def _sigmoid_dot(x, y):
-    """sigmoid(a^T M b) of a plain bilinear form's operands x = a M, y = b."""
-    return ad.sigmoid(ad.tsum(x * y, axis=-1))
-
-
 class VariantScorer:
     """Directed scores for one embedding pairing x one discriminator family.
 
@@ -444,7 +419,9 @@ class VariantScorer:
     Each score is defined once, as the tape function ``_pair`` of the
     ``operands`` of the pairing's rows: training applies both to the
     gathered rows (``score_rows``), inference ``operands`` to every slot
-    (``tables``) and ``_pair`` to the kept rows (``pair``).
+    (``tables``) and ``_pair`` to the kept rows (``pair``).  Every bilinear
+    form, the flagship's 2n x 3n M included, has x = a M, y = b and
+    ``_sigmoid_dot``.
     """
 
     def __init__(self, model, pairing="phi_psi", discriminator="bilinear",
@@ -465,7 +442,7 @@ class VariantScorer:
             self.matrix = ad.parameter(
                 rng.uniform(-1.0 / width, 1.0 / width, size=(width, width)))
         self._pair = {"cosine": _cosine_score, "l2": _l2_score}.get(
-            discriminator, _block_pair if self.matrix is None else _sigmoid_dot)
+            discriminator, _sigmoid_dot)
         if discriminator != "bilinear" and pairing == "phi_psi":
             pairing = "psi_psi"
         self.fields = tuple(pairing.split("_"))
@@ -473,11 +450,10 @@ class VariantScorer:
     def operands(self, a, b):
         """Rows (x, y) of the pairing's rows ``a`` and ``b``; a bilinear form
         puts its one-row products on the x side."""
-        if self._pair is _block_pair:
-            return _block_operands(a, b, self.model.disc)
-        if self.matrix is not None:
-            return _row_products(a, self.matrix), b
-        return a, b
+        if self.discriminator != "bilinear":
+            return a, b
+        m = self.model.disc.matrix() if self.matrix is None else self.matrix
+        return _row_products(a, m), b
 
     def score_rows(self, rows, cache=None):
         """Directed scores (d_xy, d_yx), each an (N,) tensor, for N rows that
@@ -489,7 +465,10 @@ class VariantScorer:
         field_x, field_y = self.fields
         # both directions in one pass: rows (x, y) then rows (y, x)
         a, b = ad.take(t[field_x], ix + iy), ad.take(t[field_y], iy + ix)
-        d = (discriminate(a, b, self.model.disc) if self._pair is _block_pair
+        # ``discriminate`` is the flagship's ``_pair`` of its ``operands``,
+        # called by name because bench/spans.py times the discriminator there
+        d = (discriminate(a, b, self.model.disc)
+             if self.discriminator == "bilinear" and self.matrix is None
              else self._pair(*self.operands(a, b)))
         n = len(rows)
         return ad.slice1d(d, 0, n), ad.slice1d(d, n, 2 * n)

@@ -12,6 +12,7 @@ from patchgraph.matching import (
     DISCRIMINATORS,
     PAIRINGS,
     DiscriminatorParams,
+    FrameIndex,
     MatchModel,
     ModelConfig,
     PairCorpus,
@@ -192,6 +193,50 @@ class TestDiscriminator:
         with pytest.raises(ValueError):
             discriminate(ad.constant(np.ones(8)), ad.constant(np.ones(11)),
                          disc)
+
+    def test_flagship_tables_are_phi_m_and_psi(self):
+        # x = phi M and y = psi, both 3n wide, one row per slot
+        rng = np.random.default_rng(11)
+        frames = [make_frame(fid, [make_patch("%s/p%d" % (fid, i), fid,
+                                              (2.0 * i, 0.0, 10.0), rng=rng)
+                                   for i in range(4 + j)])
+                  for j, fid in enumerate(("f0", "f1"))]
+        model = init_model(ModelConfig(n=8, k=3), seed=4)
+        xy = VariantScorer(model).tables(FrameIndex(frames))
+        assert xy.shape == (2, 9, 24)
+        with ad.no_grad():
+            emb = [assemble_embeddings(p, f, model)
+                   for f in frames for p in f.patches]
+        phi = np.stack([e.phi.data for e in emb])
+        psi = np.stack([e.psi.data for e in emb])
+        assert xy[1].tobytes() == psi.tobytes()
+        np.testing.assert_allclose(xy[0], phi @ model.disc.full_matrix(),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_matrix_gradients_reach_the_four_blocks_only(self):
+        disc = init_discriminator(3, seed=5)
+        m = disc.matrix()
+        weights = np.random.default_rng(6).standard_normal((6, 9))
+        grads = ad.gradients(ad.tsum(m * weights), disc.trainable())
+        blocks = {"m12": weights[:3, 3:6], "m21": weights[3:, :3],
+                  "m22": weights[3:, 3:6], "m23": weights[3:, 6:]}
+        assert [id(t) for t in disc.trainable()] == [
+            id(t) for t in disc.blocks().values()]
+        for name, g in zip(disc.blocks(), grads):
+            assert g.tobytes() == blocks[name].tobytes()
+        # the tape's leaves: the four blocks, and zero blocks as constants
+        leaves, stack = [], [m]
+        while stack:
+            t = stack.pop()
+            stack.extend(t._parents)
+            if not t._parents:
+                leaves.append(t)
+        trained = [t for t in leaves if t.requires_grad]
+        assert sorted(map(id, trained)) == sorted(
+            map(id, disc.blocks().values()))
+        zeros = [t for t in leaves if not t.requires_grad]
+        assert zeros and all(not np.any(t.data) for t in zeros)
+        assert not np.any(m.data[:3, :3]) and not np.any(m.data[:3, 6:])
 
     def test_mismatched_blocks_rejected(self):
         with pytest.raises(ValueError):
@@ -495,13 +540,13 @@ class TestEvaluate:
         corpus = PairCorpus.from_frames(frames, entries)
         assert len(corpus.rows) > matching.INFERENCE_CHUNK
         model = init_model(ModelConfig(n=8, k=3), seed=9)
-        products, phi_products = [], matching._phi_products
+        products, row_products = [], matching._row_products
 
-        def counted(phi, disc):
-            products.append(phi.data.shape[0])
-            return phi_products(phi, disc)
+        def counted(a, m):
+            products.append(a.data.shape[0])
+            return row_products(a, m)
 
-        monkeypatch.setattr(matching, "_phi_products", counted)
+        monkeypatch.setattr(matching, "_row_products", counted)
         evaluate(corpus, model)
         assert products == [20]
 

@@ -466,18 +466,18 @@ class TestPlaceRecognitionEval:
                   for i in range(4)]
         pairs = [(a, b) for i, a in enumerate(frames) for b in frames[i + 1:]]
         featurized, products = [], []
-        featurize, phi_products = matching.featurize, matching._phi_products
+        featurize, row_products = matching.featurize, matching._row_products
 
         def counted_featurize(patch, params):
             featurized.append(patch.patch_id)
             return featurize(patch, params)
 
-        def counted_phi_products(phi, disc):
-            products.append(phi.data.shape[0])
-            return phi_products(phi, disc)
+        def counted_row_products(a, m):
+            products.append(a.data.shape[0])
+            return row_products(a, m)
 
         monkeypatch.setattr(matching, "featurize", counted_featurize)
-        monkeypatch.setattr(matching, "_phi_products", counted_phi_products)
+        monkeypatch.setattr(matching, "_row_products", counted_row_products)
         place_recognition_eval(pairs, model, threshold=0.5)
         patches = [p.patch_id for f in frames for p in f.patches]
         assert sorted(featurized) == sorted(patches)
