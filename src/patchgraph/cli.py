@@ -245,32 +245,25 @@ def cmd_ablate(cfg, seed, out_dir, args):
     _, corpus_train = _load_corpus(args.data)
     _, corpus_test = _load_corpus(args.test_data or args.data)
     tc = TrainConfig.from_config(cfg, seed)
-    rows = []
-    flagship_model = None
+    scorers = []
     for pairing in PAIRINGS:
         model = init_model(ModelConfig.from_config(cfg), seed)
-        scorer = VariantScorer(model, pairing, "bilinear", seed=seed)
-        train(corpus_train, model, tc, scorer=scorer)
-        metrics = evaluate(corpus_test, model, scorer=scorer)
-        rows.append((pairing, "bilinear", metrics["auc"], metrics["f1"],
-                     metrics["precision"], metrics["recall"]))
-        if pairing == "phi_psi":
-            flagship_model = model
-    for pairing in PAIRINGS:
-        for disc in ("cosine", "l2"):
-            scorer = VariantScorer(flagship_model, pairing, disc)
-            metrics = evaluate(corpus_test, flagship_model, scorer=scorer)
-            rows.append((pairing, disc, metrics["auc"], metrics["f1"],
-                         metrics["precision"], metrics["recall"]))
-    out_rows = [(p, d, "%.6f" % auc, "%.6f" % f1, "%.6f" % pr, "%.6f" % rc)
-                for (p, d, auc, f1, pr, rc) in rows]
-    _write_csv(out_dir, "ablation.csv",
-               ["pairing", "discriminator", "auc", "f1", "precision",
-                "recall"], out_rows)
+        scorers.append(VariantScorer(model, pairing, "bilinear", seed=seed))
+        train(corpus_train, model, tc, scorer=scorers[-1])
+    # cosine and l2 train nothing: they score on the flagship model
+    scorers += [VariantScorer(scorers[0].model, pairing, disc)
+                for pairing in PAIRINGS for disc in ("cosine", "l2")]
+    header = ["pairing", "discriminator", "auc", "f1", "precision", "recall"]
+    rows = []
+    for scorer in scorers:
+        metrics = evaluate(corpus_test, scorer.model, scorer=scorer)
+        rows.append(dict(zip(header, [scorer.pairing, scorer.discriminator]
+                             + [metrics[k] for k in header[2:]])))
+    _write_csv(out_dir, "ablation.csv", header,
+               [[r["pairing"], r["discriminator"]]
+                + ["%.6f" % r[k] for k in header[2:]] for r in rows])
     _write_report(out_dir, "ablation_report.json", {
-        "rows": [{"pairing": p, "discriminator": d, "auc": auc, "f1": f1,
-                  "precision": pr, "recall": rc}
-                 for (p, d, auc, f1, pr, rc) in rows],
+        "rows": rows,
         "train_pairs": len(corpus_train.rows),
         "test_pairs": len(corpus_test.rows),
     }, cfg, seed)

@@ -267,14 +267,14 @@ class FrameIndex:
     """What one scoring call (``train``, ``evaluate``,
     ``place_recognition_eval``, ...) computes once over its frames and
     reuses in every batch.  Each frame's patches hold consecutive slots, in
-    frame order (``frame_slots``).  The index keeps
+    frame order (``frame_slots``).
 
-    * the clique of each patch it embeds, as the slots of its vertices
-      (center first), built through ``graph_for_patch``;
-    * every value that cannot change during the call, as one array with a
-      row per slot, made for every slot in one pass on first use: ``f``
-      unless a tape records a featurizer that trains, and in inference
-      each scorer's score tables (``score_tables``).
+    No parameter shapes the cliques or a fixed featurizer's descriptors, so
+    they are kept for the call: each patch's clique as the slots of its
+    vertices (center first), and ``f`` as one (P, n) array.  Each scorer's
+    score tables are kept for an inference call (``score_tables``).  A
+    trained featurizer's descriptors, and in training the embeddings, are
+    recomputed at every read.
 
     The keys are frame and patch ids, which repeat across datasets (``synth``
     names frames ``s000/a`` at every seed), so an index serves one call on
@@ -325,9 +325,9 @@ class FrameIndex:
         return vertices
 
     def descriptors(self, slots, featurizer):
-        """(len(slots), n) descriptors: recomputed while a tape records a
-        featurizer that trains, otherwise rows of the kept ``f``."""
-        if ad._grad_enabled and featurizer.trainable():
+        """(len(slots), n) descriptors: recomputed for ``slots`` if the
+        featurizer trains, otherwise rows of the kept ``f``."""
+        if featurizer.trainable():
             return ad.stack_rows([featurize(self.patches[s][0], featurizer)
                                   for s in slots])
         if self.f is None:
@@ -656,8 +656,6 @@ def train(corpus, model, train_config, scorer=None):
     state = ad.AdamState(lr=train_config.lr)
     rng = rng_for(train_config.seed, "train")
     history = []
-    # cliques and fixed descriptors are built once; embeddings are
-    # recomputed every step, since the parameters change every step
     index = FrameIndex.for_rows(rows)
     for _ in range(train_config.epochs):
         order = _balanced_order(rows, rng, train_config.balance)

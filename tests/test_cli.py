@@ -10,7 +10,7 @@ import pytest
 
 from patchgraph import scene
 from patchgraph.cli import OracleScorer, main
-from patchgraph.matching import PairCorpus, evaluate
+from patchgraph.matching import PAIRINGS, PairCorpus, evaluate
 from patchgraph.placerec import score_matrix
 
 TINY_MODEL = ["--set", "model.n=8", "--set", "model.k=2",
@@ -402,12 +402,15 @@ class TestAblate:
         header, rows = read_csv(os.path.join(out, "ablation.csv"))
         assert header == ["pairing", "discriminator", "auc", "f1",
                           "precision", "recall"]
-        combos = {(r[0], r[1]) for r in rows}
-        assert len(rows) == 15  # 5 pairings x (bilinear + cosine + l2)
-        assert ("phi_psi", "bilinear") in combos
-        assert ("f_f", "l2") in combos
+        # the bilinear pairings in PAIRINGS order, the flagship first, then
+        # each pairing's cosine and l2 rows
+        order = ([(p, "bilinear") for p in PAIRINGS]
+                 + [(p, d) for p in PAIRINGS for d in ("cosine", "l2")])
+        assert len(order) == 15
+        assert [(r[0], r[1]) for r in rows] == order
         rep = read_json(os.path.join(out, "ablation_report.json"))
-        assert len(rep["rows"]) == 15
+        assert [(r["pairing"], r["discriminator"])
+                for r in rep["rows"]] == order
 
 
 class TestReproducibility:

@@ -143,7 +143,7 @@ class TestValidationAggregation:
 
     def test_gat_head_divisibility(self):
         with pytest.raises(ConfigError) as exc:
-            load_config(None, ["model.n=30"])  # default heads=4, arch=gat
+            load_config(None, ["model.n=30", "model.arch=gat"])  # heads=4
         assert any("model.heads" in s for s in exc.value.problems)
         # a non-attention architecture does not care
         cfg = load_config(None, ["model.n=30", "model.arch=gcn"])

@@ -526,6 +526,42 @@ class TestEvaluate:
         assert sorted(calls) == sorted(p.patch_id for f in frames
                                        for p in f.patches)
 
+    def test_trained_featurizer_is_recomputed_at_every_read(self,
+                                                            monkeypatch):
+        # outside a tape too: a kept index featurizes only what a read
+        # asks for, and scores with the featurizer's current weights
+        rng = np.random.default_rng(10)
+        frames = [make_frame(fid, [make_patch("%s/p%d" % (fid, i), fid,
+                                              (2.0 * i, 0.0, 10.0), rng=rng)
+                                   for i in range(10)])
+                  for fid in ("f0", "f1")]
+        model = init_model(ModelConfig(n=8, k=2, featurizer="tiny_conv"),
+                           seed=10)
+        row = [(frames[0].patches[3], frames[0],
+                frames[1].patches[6], frames[1])]
+        index = FrameIndex(frames)
+        calls, featurize = [], matching.featurize
+
+        def counted(patch, params):
+            calls.append(patch.patch_id)
+            return featurize(patch, params)
+
+        monkeypatch.setattr(matching, "featurize", counted)
+        with ad.no_grad():
+            VariantScorer(model).score_rows(row, index)
+        slots, _, _ = index.row_slots(row)
+        vertices = {index.patches[v][0].patch_id
+                    for s in slots for v in index.clique(s, 2)}
+        assert len(vertices) == 6
+        assert sorted(calls) == sorted(vertices)
+
+        model.featurizer.tensors["head.b"].data += 0.5
+        with ad.no_grad():
+            kept = VariantScorer(model).score_rows(row, index)
+            fresh = VariantScorer(model).score_rows(row, FrameIndex(frames))
+        for a, b in zip(kept, fresh):
+            assert a.data.tobytes() == b.data.tobytes()
+
     def test_discriminator_products_made_once(self, monkeypatch):
         # 100 rows run as two inference chunks; the flagship's products
         # phi M are made once, one row per patch, not once per chunk
@@ -691,7 +727,7 @@ class TestCheckpoint:
         # gat checkpoints keep one entry per head and layer; build one from
         # a {name: array} dict, each head drawn (w, al, ar) in turn as the
         # model's initialisation draws them
-        config = ModelConfig(n=16, k=2, heads=4)
+        config = ModelConfig(n=16, k=2, architecture="gat", heads=4)
         source = init_model(config, seed=5)
         arrays = {name: t.data for name, t in source.named_tensors().items()
                   if not name.startswith("gnn.")}
@@ -789,7 +825,8 @@ class TestGolden:
     def test_golden_embeddings_and_score(self):
         golden = json.loads(GOLDEN.read_text())
         rng = np.random.default_rng(20260401)
-        model = init_model(ModelConfig(n=8, k=3), seed=314)
+        model = init_model(ModelConfig(n=8, k=3, architecture="gat"),
+                           seed=314)
         patches_a = [make_patch("f0/p%03d" % i, "f0", (2.0 * i, 0, 10),
                                 rng=rng) for i in range(4)]
         patches_b = [make_patch("f1/p%03d" % i, "f1", (2.0 * i, 1, 11),

@@ -115,7 +115,8 @@ class TestScoreMatrix:
     def test_golden_case(self):
         golden = json.loads(GOLDEN.read_text())
         rng = np.random.default_rng(20260501)
-        model = init_model(ModelConfig(n=8, k=2), seed=271)
+        model = init_model(ModelConfig(n=8, k=2, architecture="gat"),
+                           seed=271)
         fa = make_frame("f0", 3, (0, 0, 0), rng)
         fb = make_frame("f1", 4, (3, 0, 0), rng)
         s = score_matrix(fa, fb, model)

@@ -5,7 +5,7 @@ prints one line: how many numbers differ, the largest absolute and the
 largest relative difference, and where each lies (a JSON path, or a CSV
 line and column).  Text that differs, or a structure that does not line
 up, is counted apart.  Exits 0 whatever it finds;
-tools/compare_cli_outputs.sh runs it after `diff -r` has found a
+tools/compare_cli_outputs.sh runs it after `diff -rq` has found a
 difference.
 
     python3 tools/numeric_diff.py OLD NEW
