@@ -239,8 +239,8 @@ def _sigmoid_dot(x, y):
 
 
 def discriminate(phi, psi, disc):
-    """Directed score sigmoid(phi^T M psi): ``_sigmoid_dot`` of phi M
-    against psi, as for every bilinear scorer.
+    """The paper's directed score d = sigmoid(phi^T M psi), ``_sigmoid_dot``
+    of phi M against psi: the reference for the flagship ``VariantScorer``.
 
     ``phi`` (..., 2n) and ``psi`` (..., 3n) are single vectors or stacks of
     them whose leading axes broadcast; one score per stacked pair.
@@ -278,13 +278,17 @@ class FrameIndex:
 
     The keys are frame and patch ids, which repeat across datasets (``synth``
     names frames ``s000/a`` at every seed), so an index serves one call on
-    one dataset and one model.
+    one dataset and one model, and rejects two different frames with one id.
     """
 
     def __init__(self, frames):
         self.start = {}        # frame id -> its first slot
         self.patches = []      # slot -> (patch, frame)
+        first = {}             # frame id -> the frame given first
         for frame in frames:
+            if first.setdefault(frame.frame_id, frame) is not frame:
+                raise ValueError("two different frames share the id %r"
+                                 % (frame.frame_id,))
             if frame.frame_id not in self.start:
                 self.start[frame.frame_id] = len(self.patches)
                 self.patches.extend((patch, frame) for patch in frame.patches)
@@ -416,12 +420,12 @@ class VariantScorer:
     matrix.  The cosine and L2 discriminators need equal-length operands,
     so the phi_psi pairing falls back to comparing the two psi vectors.
 
-    Each score is defined once, as the tape function ``_pair`` of the
-    ``operands`` of the pairing's rows: training applies both to the
-    gathered rows (``score_rows``), inference ``operands`` to every slot
-    (``tables``) and ``_pair`` to the kept rows (``pair``).  Every bilinear
-    form, the flagship's 2n x 3n M included, has x = a M, y = b and
-    ``_sigmoid_dot``.
+    Each score is one operand step and one pair function, which training
+    and inference share: ``operands(index, slots)`` embeds the slots into
+    x and y rows (x = a M, y = b for every bilinear form, the flagship's
+    2n x 3n M included), and ``_pair`` scores such rows: ``score_rows``
+    over rows gathered from a batch's distinct slots, ``pair`` over the
+    ``tables`` of every slot.
     """
 
     def __init__(self, model, pairing="phi_psi", discriminator="bilinear",
@@ -447,9 +451,11 @@ class VariantScorer:
             pairing = "psi_psi"
         self.fields = tuple(pairing.split("_"))
 
-    def operands(self, a, b):
-        """Rows (x, y) of the pairing's rows ``a`` and ``b``; a bilinear form
-        puts its one-row products on the x side."""
+    def operands(self, index, slots):
+        """Tape rows (x, y) for ``slots`` of ``index``, one of each per slot:
+        x = a M and y = b for a bilinear form, x = a and y = b otherwise."""
+        t = index.embed(slots, self.model, self.fields)
+        a, b = (t[field] for field in self.fields)
         if self.discriminator != "bilinear":
             return a, b
         m = self.model.disc.matrix() if self.matrix is None else self.matrix
@@ -458,26 +464,19 @@ class VariantScorer:
     def score_rows(self, rows, cache=None):
         """Directed scores (d_xy, d_yx), each an (N,) tensor, for N rows that
         start with (patch_x, frame_x, patch_y, frame_y).  ``cache`` is the
-        call's ``FrameIndex``; each distinct patch is embedded once."""
+        call's ``FrameIndex``; each distinct patch's operands are made once."""
         index = FrameIndex.for_rows(rows) if cache is None else cache
         slots, ix, iy = index.row_slots(rows)
-        t = index.embed(slots, self.model, self.fields)
-        field_x, field_y = self.fields
+        x, y = self.operands(index, slots)
         # both directions in one pass: rows (x, y) then rows (y, x)
-        a, b = ad.take(t[field_x], ix + iy), ad.take(t[field_y], iy + ix)
-        # ``discriminate`` is the flagship's ``_pair`` of its ``operands``,
-        # called by name because bench/spans.py times the discriminator there
-        d = (discriminate(a, b, self.model.disc)
-             if self.discriminator == "bilinear" and self.matrix is None
-             else self._pair(*self.operands(a, b)))
+        d = self._pair(ad.take(x, ix + iy), ad.take(y, iy + ix))
         n = len(rows)
         return ad.slice1d(d, 0, n), ad.slice1d(d, n, 2 * n)
 
     def tables(self, index):
-        """The (2, P, w) ``operands`` of every slot of ``index``."""
-        t = index.embed(range(len(index.patches)), self.model, self.fields)
+        """The (2, P, w) ``operands`` of every slot of ``index``, as arrays."""
         return np.stack([v.data for v in
-                         self.operands(*(t[field] for field in self.fields))])
+                         self.operands(index, range(len(index.patches)))])
 
     def pair(self, x, y):
         """Directed scores of ``tables`` rows ``x`` against ``y``, arrays
@@ -501,17 +500,17 @@ class VariantScorer:
 INFERENCE_CHUNK = 64
 
 
-def symmetric_scores(rows, scorer, cache=None):
+def symmetric_scores(rows, scorer):
     """Inference scores (d_xy + d_yx) / 2 for rows that start with
     (patch_x, frame_x, patch_y, frame_y): ``scorer.pair`` over the rows'
-    entries of the score tables of ``cache`` (a ``FrameIndex``), gathered
-    per chunk of INFERENCE_CHUNK rows, both directions in one pass."""
-    cache = FrameIndex.for_rows(rows) if cache is None else cache
-    xy = cache.score_tables(scorer)
+    entries of the score tables of a new ``FrameIndex`` over their frames,
+    gathered per chunk of INFERENCE_CHUNK rows, both directions at once."""
+    index = FrameIndex.for_rows(rows)
+    xy = index.score_tables(scorer)
     scores = []
     for start in range(0, len(rows), INFERENCE_CHUNK):
         chunk = rows[start:start + INFERENCE_CHUNK]
-        slots, ix, iy = cache.row_slots(chunk)
+        slots, ix, iy = index.row_slots(chunk)
         x, y = xy[:, slots]
         # rows (x, y) then rows (y, x)
         d = scorer.pair(x[ix + iy], y[iy + ix])

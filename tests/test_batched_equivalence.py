@@ -1,17 +1,20 @@
 """The batched scoring path against the per-pair reference.
 
-``VariantScorer.score_rows`` embeds every distinct patch of a batch once,
-runs each group of equal-size cliques through the graph network as one
-stack, and scores all rows in one discriminator pass.  The reference takes
-each patch through ``assemble_embeddings`` on its own, scores each pair
-with the 1-d ``discriminate`` (or the variant's bilinear form), and sums
-the loss one directed score at a time.  Scores, loss and gradients must
-agree to 1e-12.
+Training and inference share one operand step,
+``VariantScorer.operands(index, slots)``: it embeds the slots, running each
+group of equal-size cliques through the graph network as one stack, and
+returns each slot's x and y rows (x = a M for a bilinear form).
+``score_rows`` runs it once over a batch's distinct patches, gathers both
+directions of every row and scores them in one ``_pair`` pass.  The
+reference takes each patch through ``assemble_embeddings`` on its own,
+scores each pair with the paper's 1-d ``discriminate`` (or the variant's
+bilinear form), and sums the loss one directed score at a time.  Scores,
+loss and gradients must agree to 1e-12.
 
-Inference reads per-patch score tables instead
-(``FrameIndex.score_tables``) and scores them with the scorer's ``pair``;
-for every pairing and discriminator its scores must equal those of
-``score_rows`` bit for bit.
+Inference runs the same step over every slot (``tables``, kept by
+``FrameIndex.score_tables``) and scores the kept rows with the scorer's
+``pair``; for every pairing and discriminator its scores must equal those
+of ``score_rows`` bit for bit.
 """
 
 import itertools
@@ -103,12 +106,10 @@ def assert_matches_reference(rows, model, scorer):
                          ad.gradients(ref_loss, params)):
         np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
 
-    # inference: one index across two calls; the second reuses its rows
-    index = FrameIndex.for_rows(rows)
+    # inference: the score tables of a fresh index over the rows' frames
     want = [0.5 * (float(a.data) + float(b.data)) for a, b in ref_scores]
-    for _ in range(2):
-        np.testing.assert_allclose(symmetric_scores(rows, scorer, index),
-                                   want, rtol=0, atol=TOL)
+    np.testing.assert_allclose(symmetric_scores(rows, scorer), want,
+                               rtol=0, atol=TOL)
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,10 +212,8 @@ def test_score_tables_match_the_row_route_bit_for_bit(data):
                   st.integers(0, len(patches) - 1)),
         min_size=1, max_size=80), label="rows")
     rows = [(*patches[i], *patches[j]) for i, j in picks]
-    want = row_route(rows, scorer)
-    for cache in (None, index):
-        got = np.asarray(symmetric_scores(rows, scorer, cache))
-        assert got.tobytes() == want.tobytes()
+    got = np.asarray(symmetric_scores(rows, scorer))
+    assert got.tobytes() == row_route(rows, scorer).tobytes()
 
 
 def per_head_gat_layer(x, w, a_left, a_right):

@@ -564,7 +564,8 @@ class TestEvaluate:
 
     def test_discriminator_products_made_once(self, monkeypatch):
         # 100 rows run as two inference chunks; the flagship's products
-        # phi M are made once, one row per patch, not once per chunk
+        # phi M are made once, one row per patch, not once per chunk.  A
+        # training batch makes one per distinct patch, not one per row end
         rng = np.random.default_rng(9)
         frames = [make_frame(fid, [make_patch("%s/p%d" % (fid, i), fid,
                                               (2.0 * i, 0.0, 10.0), rng=rng)
@@ -585,6 +586,16 @@ class TestEvaluate:
         monkeypatch.setattr(matching, "_row_products", counted)
         evaluate(corpus, model)
         assert products == [20]
+
+        # 4 rows over 5 distinct patches: a[0] named twice, b[0] three times
+        a, b = frames[0].patches, frames[1].patches
+        rows = [(a[0], frames[0], b[0], frames[1], 1),
+                (a[0], frames[0], b[1], frames[1], 0),
+                (a[1], frames[0], b[0], frames[1], 0),
+                (a[2], frames[0], b[0], frames[1], 1)]
+        products.clear()
+        loss_emp_id(rows, model)
+        assert products == [5]
 
 
 class TestAblation:

@@ -86,6 +86,19 @@ class TestScoreMatrix:
         ba = score_matrix(fb, fa, model)
         np.testing.assert_array_equal(ab, ba.T)
 
+    def test_two_frames_with_one_id_rejected(self):
+        # ``synth`` names frames ``s000/a`` at every seed; a second frame
+        # under a kept id must not read the first frame's slots
+        rng = np.random.default_rng(4)
+        model = init_model(ModelConfig(n=4, k=2), seed=4)
+        fa = make_frame("s000/a", 3, (0, 0, 0), rng)
+        other = make_frame("s000/a", 3, (1, 0, 0), rng)
+        with pytest.raises(ValueError, match="s000/a"):
+            score_matrix(fa, other, model)
+        same = score_matrix(fa, fa, model)
+        assert same.shape == (3, 3)
+        np.testing.assert_array_equal(same, same.T)
+
     @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
     def test_blocks_of_rows_keep_the_bytes(self, monkeypatch, chunk):
         """The frame-pair broadcast runs over blocks of A's rows that hold
