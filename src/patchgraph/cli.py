@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from . import autodiff as ad
 from .config import ConfigError, config_hash, load_config
 from .infotheory import run_bound_checks
 from .matching import (
@@ -104,19 +105,20 @@ def _load_corpus(data_dir):
 
 class OracleScorer:
     """Debug scorer that reads the ground truth: same landmark id scores
-    0.99, anything else 0.01.  Its table rows code each landmark id as a
+    0.99, anything else 0.01.  Its operand rows code each landmark id as a
     number and a patch without one as NaN, which equals nothing."""
 
-    def tables(self, index):
+    def operands(self, index, slots):
         ids = [patch.landmark_id for patch, _ in index.patches]
         # code: the first place of an equal id, found with ==, so ids of
         # any JSON type work, lists (which do not hash) included
-        column = np.array([[np.nan if i is None else ids.index(i)]
-                           for i in ids], dtype=np.float64)
-        return np.stack([column, column])
+        column = ad.constant([[np.nan if ids[s] is None
+                               else ids.index(ids[s])] for s in slots])
+        return column, column
 
     def pair(self, x, y):
-        return np.where(x[..., 0] == y[..., 0], 0.99, 0.01)
+        return ad.constant(np.where(x.data[..., 0] == y.data[..., 0],
+                                    0.99, 0.01))
 
 
 # -- subcommands --------------------------------------------------------------

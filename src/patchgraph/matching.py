@@ -272,9 +272,9 @@ class FrameIndex:
     No parameter shapes the cliques or a fixed featurizer's descriptors, so
     they are kept for the call: each patch's clique as the slots of its
     vertices (center first), and ``f`` as one (P, n) array.  Each scorer's
-    score tables are kept for an inference call (``score_tables``).  A
-    trained featurizer's descriptors, and in training the embeddings, are
-    recomputed at every read.
+    ``operands`` over every slot are kept for an inference call as one
+    (2, P, w) array (``score_tables``).  A trained featurizer's descriptors,
+    and in training the embeddings, are recomputed at every read.
 
     The keys are frame and patch ids, which repeat across datasets (``synth``
     names frames ``s000/a`` at every seed), so an index serves one call on
@@ -309,15 +309,17 @@ class FrameIndex:
         return slice(start, start + len(frame.patches))
 
     def row_slots(self, rows):
-        """(slots, ix, iy) for rows that start with (patch_x, frame_x,
-        patch_y, frame_y): the rows' distinct slots, and the place in
-        ``slots`` of each row's x and of its y."""
+        """(slots, at) for N rows that start with (patch_x, frame_x,
+        patch_y, frame_y): the rows' distinct slots in order of first
+        appearance, and the (2, N) places in ``slots`` of each row's x
+        (``at[0]``) and of its y (``at[1]``)."""
         ends = [self.slots[frame.frame_id, patch.patch_id]
                 for px, fx, py, fy, *_ in rows
                 for patch, frame in ((px, fx), (py, fy))]
         slots = list(dict.fromkeys(ends))
-        at = {slot: i for i, slot in enumerate(slots)}
-        return slots, [at[s] for s in ends[0::2]], [at[s] for s in ends[1::2]]
+        place = {slot: i for i, slot in enumerate(slots)}
+        at = np.array([place[s] for s in ends], dtype=np.intp)
+        return slots, at.reshape(-1, 2).T
 
     def clique(self, slot, k):
         vertices = self.cliques.get(slot)
@@ -376,11 +378,12 @@ class FrameIndex:
         return t
 
     def score_tables(self, scorer):
-        """``scorer.tables(self)``, made once per scorer without a tape: the
-        (2, P, w) x and y rows of every slot, which ``scorer.pair`` scores."""
+        """``scorer.operands`` of every slot, made once per scorer without a
+        tape and kept as one (2, P, w) array: the x rows, then the y rows."""
         if scorer not in self.xy:
             with ad.no_grad():
-                self.xy[scorer] = scorer.tables(self)
+                x, y = scorer.operands(self, range(len(self.patches)))
+            self.xy[scorer] = np.stack([x.data, y.data])
         return self.xy[scorer]
 
 
@@ -420,12 +423,14 @@ class VariantScorer:
     matrix.  The cosine and L2 discriminators need equal-length operands,
     so the phi_psi pairing falls back to comparing the two psi vectors.
 
-    Each score is one operand step and one pair function, which training
-    and inference share: ``operands(index, slots)`` embeds the slots into
-    x and y rows (x = a M, y = b for every bilinear form, the flagship's
-    2n x 3n M included), and ``_pair`` scores such rows: ``score_rows``
-    over rows gathered from a batch's distinct slots, ``pair`` over the
-    ``tables`` of every slot.
+    A scorer is two methods, which training and inference share:
+    ``operands(index, slots)`` embeds the slots into x and y tape rows
+    (x = a M, y = b for every bilinear form, the flagship's 2n x 3n M
+    included), and ``pair(x, y)`` scores such rows, whose leading axes
+    broadcast, into directed scores.  Both directions of a pair travel on
+    axis 0 of one stack: row 0 is x -> y, row 1 is y -> x.  ``score_rows``
+    gathers them from a batch's distinct slots; inference gathers them
+    from ``FrameIndex.score_tables``, the operands of every slot.
     """
 
     def __init__(self, model, pairing="phi_psi", discriminator="bilinear",
@@ -445,7 +450,7 @@ class VariantScorer:
             rng = rng_for(seed, "ablation/" + pairing)
             self.matrix = ad.parameter(
                 rng.uniform(-1.0 / width, 1.0 / width, size=(width, width)))
-        self._pair = {"cosine": _cosine_score, "l2": _l2_score}.get(
+        self.pair = {"cosine": _cosine_score, "l2": _l2_score}.get(
             discriminator, _sigmoid_dot)
         if discriminator != "bilinear" and pairing == "phi_psi":
             pairing = "psi_psi"
@@ -462,27 +467,14 @@ class VariantScorer:
         return _row_products(a, m), b
 
     def score_rows(self, rows, cache=None):
-        """Directed scores (d_xy, d_yx), each an (N,) tensor, for N rows that
-        start with (patch_x, frame_x, patch_y, frame_y).  ``cache`` is the
-        call's ``FrameIndex``; each distinct patch's operands are made once."""
+        """The (2, N) tensor of directed scores, d_xy then d_yx, for N rows
+        that start with (patch_x, frame_x, patch_y, frame_y).  ``cache`` is
+        the call's ``FrameIndex``; each distinct patch's operands are made
+        once."""
         index = FrameIndex.for_rows(rows) if cache is None else cache
-        slots, ix, iy = index.row_slots(rows)
+        slots, at = index.row_slots(rows)
         x, y = self.operands(index, slots)
-        # both directions in one pass: rows (x, y) then rows (y, x)
-        d = self._pair(ad.take(x, ix + iy), ad.take(y, iy + ix))
-        n = len(rows)
-        return ad.slice1d(d, 0, n), ad.slice1d(d, n, 2 * n)
-
-    def tables(self, index):
-        """The (2, P, w) ``operands`` of every slot of ``index``, as arrays."""
-        return np.stack([v.data for v in
-                         self.operands(index, range(len(index.patches)))])
-
-    def pair(self, x, y):
-        """Directed scores of ``tables`` rows ``x`` against ``y``, arrays
-        whose leading axes broadcast: ``_pair`` on them as constants, so
-        each score has the bits of ``score_rows``."""
-        return self._pair(ad.constant(x), ad.constant(y)).data
+        return self.pair(ad.take(x, at), ad.take(y, at[::-1]))
 
     def trainable(self):
         if self.discriminator != "bilinear":
@@ -494,27 +486,31 @@ class VariantScorer:
 
 
 # Rows per batched pass at inference, and INFERENCE_CHUNK**2 patch pairs per
-# block of a frame pair's broadcast: it bounds the pair scores' temporaries,
-# not the embeddings, which the FrameIndex makes for all its slots at once
-# (chunks of 256 cost 1.5 MB more peak RSS when each embedded its own).
+# block of a frame pair's broadcast: it bounds the pair scores' temporaries.
 INFERENCE_CHUNK = 64
+
+
+def _both_ways(scorer, a, b):
+    """(d_ab + d_ba) / 2 of score-table rows ``a`` and ``b``, each a (2, ...)
+    stack of x rows then y rows whose other leading axes broadcast: one
+    ``pair`` of a's rows against b's rows swapped."""
+    d = scorer.pair(ad.constant(a), ad.constant(b[::-1])).data
+    return 0.5 * (d[0] + d[1])
 
 
 def symmetric_scores(rows, scorer):
     """Inference scores (d_xy + d_yx) / 2 for rows that start with
-    (patch_x, frame_x, patch_y, frame_y): ``scorer.pair`` over the rows'
-    entries of the score tables of a new ``FrameIndex`` over their frames,
-    gathered per chunk of INFERENCE_CHUNK rows, both directions at once."""
+    (patch_x, frame_x, patch_y, frame_y): the rows' ends gathered from the
+    score tables of a new ``FrameIndex`` over their frames, per chunk of
+    INFERENCE_CHUNK rows, and scored both ways."""
     index = FrameIndex.for_rows(rows)
     xy = index.score_tables(scorer)
+    slots, at = index.row_slots(rows)
+    ends = np.asarray(slots, dtype=np.intp)[at]   # (2, N) slots: x, then y
     scores = []
     for start in range(0, len(rows), INFERENCE_CHUNK):
-        chunk = rows[start:start + INFERENCE_CHUNK]
-        slots, ix, iy = index.row_slots(chunk)
-        x, y = xy[:, slots]
-        # rows (x, y) then rows (y, x)
-        d = scorer.pair(x[ix + iy], y[iy + ix])
-        scores.extend((0.5 * (d[:len(chunk)] + d[len(chunk):])).tolist())
+        x, y = ends[:, start:start + INFERENCE_CHUNK]
+        scores.extend(_both_ways(scorer, xy[:, x], xy[:, y]).tolist())
     return scores
 
 
@@ -523,9 +519,9 @@ def match_score(patch_x, frame_x, patch_y, frame_y, model, gamma=None):
     strict-threshold decision."""
     gamma = model.config.gamma if gamma is None else gamma
     with ad.no_grad():
-        d_xy, d_yx = VariantScorer(model).score_rows(
+        d = VariantScorer(model).score_rows(
             [(patch_x, frame_x, patch_y, frame_y)])
-    s_xy, s_yx = float(d_xy.data[0]), float(d_yx.data[0])
+    s_xy, s_yx = d.data[:, 0].tolist()
     s = 0.5 * (s_xy + s_yx)
     return MatchResult(score=s, decision=int(s > gamma),
                        score_xy=s_xy, score_yx=s_yx)
@@ -533,20 +529,20 @@ def match_score(patch_x, frame_x, patch_y, frame_y, model, gamma=None):
 
 # -- loss ---------------------------------------------------------------------
 
-def loss_from_scores(d_xy, d_yx, labels):
+def loss_from_scores(d, labels):
     """-(1/2N) sum over all 2N directed scores d of y log d + (1-y) log(1-d);
-    ``d_xy`` and ``d_yx`` are (N,) tensors, clamped to [1e-7, 1-1e-7]
-    before the log."""
+    ``d`` is the (2, N) tensor of ``score_rows``, d_xy then d_yx, clamped
+    to [1e-7, 1-1e-7] before the log."""
     if len(labels) == 0:
         raise ValueError("empty batch")
-    if d_xy.data.shape != (len(labels),) or d_yx.data.shape != (len(labels),):
+    if d.data.shape != (2, len(labels)):
         raise ValueError("score/label count mismatch")
     bad = [label for label in labels if label not in (0, 1)]
     if bad:
         raise ValueError("labels must be 0 or 1, got %r" % (bad[0],))
     lo, hi = SCORE_CLAMP
-    d = ad.clamp(ad.concat([d_xy, d_yx]), lo, hi)
-    y = np.tile(np.asarray(labels, dtype=np.float64), 2)
+    d = ad.clamp(d, lo, hi)
+    y = np.asarray(labels, dtype=np.float64)
     # d where y = 1 and 1 - d where y = 0, both exact in floating point
     picked = d * (2.0 * y - 1.0) + (1.0 - y)
     return ad.tsum(ad.log(picked)) * (-0.5 / len(labels))
@@ -561,8 +557,8 @@ def loss_emp_id(batch, model, scorer=None, cache=None):
     if len(batch) == 0:
         raise ValueError("empty batch")
     scorer = VariantScorer(model) if scorer is None else scorer
-    d_xy, d_yx = scorer.score_rows(batch, cache)
-    return loss_from_scores(d_xy, d_yx, [row[4] for row in batch])
+    return loss_from_scores(scorer.score_rows(batch, cache),
+                            [row[4] for row in batch])
 
 
 # -- datasets of labeled pairs ------------------------------------------------

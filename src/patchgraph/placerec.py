@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SCHEMA
-from .matching import INFERENCE_CHUNK, FrameIndex, VariantScorer, confusion
+from .matching import (INFERENCE_CHUNK, FrameIndex, VariantScorer,
+                       _both_ways, confusion)
 from .seeds import rng_for
 
 SAME_PLACE_RADIUS_M = SCHEMA["place.radius"][0]
@@ -30,23 +31,22 @@ SINKHORN_RESIDUAL_TOL = 1e-6
 
 def score_matrix(frame_a, frame_b, model, scorer=None, cache=None):
     """The (A, B) array S[i][j] = symmetric match score between patch i of
-    frame A and patch j of frame B.  Each frame's rows are its slice of the
-    scorer's score tables in ``cache`` (a ``matching.FrameIndex`` over both
-    frames), made once per patch, and once across calls that share the
-    cache and the scorer; ``scorer.pair`` scores both directions as one
-    broadcast over blocks of A's rows that hold at most INFERENCE_CHUNK**2
-    patch pairs each."""
+    frame A and patch j of frame B.  Each frame's rows are its (2, A, w)
+    or (2, B, w) slice of the scorer's score tables in ``cache`` (a
+    ``matching.FrameIndex`` over both frames), made once per patch, and
+    once across calls that share the cache and the scorer; both directions
+    are scored as one ``scorer.pair`` broadcast per block of A's rows, each
+    block at most INFERENCE_CHUNK**2 patch pairs."""
     if not frame_a.patches or not frame_b.patches:
         raise ValueError("both frames need at least one patch")
     scorer = VariantScorer(model) if scorer is None else scorer
     cache = FrameIndex([frame_a, frame_b]) if cache is None else cache
     xy = cache.score_tables(scorer)
     a, b = (xy[:, cache.frame_slots(f)] for f in (frame_a, frame_b))
-    # (2, A, B): A's x rows against B's y rows, then A's y against B's x
     step = max(1, INFERENCE_CHUNK ** 2 // b.shape[1])
-    d = np.concatenate([scorer.pair(a[:, i:i + step, None], b[::-1, None])
-                        for i in range(0, a.shape[1], step)], axis=1)
-    return 0.5 * (d[0] + d[1])
+    return np.concatenate([_both_ways(scorer, a[:, i:i + step, None],
+                                      b[:, None])
+                           for i in range(0, a.shape[1], step)])
 
 
 def sinkhorn_assign(scores, dustbin=DUSTBIN_DEFAULT, iterations=SINKHORN_ITERS,

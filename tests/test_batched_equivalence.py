@@ -1,18 +1,19 @@
 """The batched scoring path against the per-pair reference.
 
-Training and inference share one operand step,
-``VariantScorer.operands(index, slots)``: it embeds the slots, running each
+Training and inference share one scorer protocol.
+``VariantScorer.operands(index, slots)`` embeds the slots, running each
 group of equal-size cliques through the graph network as one stack, and
-returns each slot's x and y rows (x = a M for a bilinear form).
-``score_rows`` runs it once over a batch's distinct patches, gathers both
-directions of every row and scores them in one ``_pair`` pass.  The
-reference takes each patch through ``assemble_embeddings`` on its own,
-scores each pair with the paper's 1-d ``discriminate`` (or the variant's
-bilinear form), and sums the loss one directed score at a time.  Scores,
-loss and gradients must agree to 1e-12.
+returns each slot's x and y rows (x = a M for a bilinear form); ``pair``
+scores such rows.  ``score_rows`` runs ``operands`` once over a batch's
+distinct patches, gathers both directions of every row on axis 0 of one
+stack and scores them in one ``pair`` pass.  The reference takes each
+patch through ``assemble_embeddings`` on its own, scores each pair with
+the paper's 1-d ``discriminate`` (or the variant's bilinear form), and sums
+the loss one directed score at a time.  Scores, loss and gradients must
+agree to 1e-12.
 
-Inference runs the same step over every slot (``tables``, kept by
-``FrameIndex.score_tables``) and scores the kept rows with the scorer's
+Inference runs ``operands`` over every slot (kept by
+``FrameIndex.score_tables``) and scores the kept rows with the same
 ``pair``; for every pairing and discriminator its scores must equal those
 of ``score_rows`` bit for bit.
 """
@@ -93,10 +94,10 @@ def reference(rows, model, scorer):
 
 def assert_matches_reference(rows, model, scorer):
     ref_scores, ref_loss = reference(rows, model, scorer)
-    d_xy, d_yx = scorer.score_rows(rows)
-    np.testing.assert_allclose(d_xy.data, [float(a.data) for a, _ in ref_scores],
+    d_xy, d_yx = scorer.score_rows(rows).data
+    np.testing.assert_allclose(d_xy, [float(a.data) for a, _ in ref_scores],
                                rtol=0, atol=TOL)
-    np.testing.assert_allclose(d_yx.data, [float(b.data) for _, b in ref_scores],
+    np.testing.assert_allclose(d_yx, [float(b.data) for _, b in ref_scores],
                                rtol=0, atol=TOL)
 
     loss = loss_emp_id(rows, model, scorer=scorer)
@@ -166,8 +167,8 @@ def row_route(rows, scorer):
     """Symmetric inference scores through ``score_rows``, the tape route of
     training and ``match_score``."""
     with ad.no_grad():
-        d_xy, d_yx = scorer.score_rows(rows)
-    return 0.5 * (d_xy.data + d_yx.data)
+        d_xy, d_yx = scorer.score_rows(rows).data
+    return 0.5 * (d_xy + d_yx)
 
 
 @settings(max_examples=150, deadline=None)
@@ -214,6 +215,43 @@ def test_score_tables_match_the_row_route_bit_for_bit(data):
     rows = [(*patches[i], *patches[j]) for i, j in picks]
     got = np.asarray(symmetric_scores(rows, scorer))
     assert got.tobytes() == row_route(rows, scorer).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_one_is_the_swapped_rows_row_zero(data):
+    """Row 1 of ``score_rows`` is each pair read y -> x: for each of the 15
+    pairings x discriminators it equals row 0 of the swapped rows bit for
+    bit."""
+    pairing, discriminator = data.draw(st.sampled_from(
+        list(itertools.product(PAIRINGS, DISCRIMINATORS))), label="scorer")
+    arch = data.draw(st.sampled_from(ARCHITECTURES), label="arch")
+    descriptors = data.draw(st.sampled_from(
+        ("feature", "fixed_hist", "tiny_conv")), label="descriptors")
+    k = data.draw(st.integers(1, 3), label="k")
+    sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3),
+                      label="sizes")
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    rng = np.random.default_rng(seed)
+    frames = make_frames(sizes, rng, features=descriptors == "feature")
+    model = init_model(ModelConfig(
+        n=4, k=k, heads=2, architecture=arch,
+        featurizer="tiny_conv" if descriptors == "tiny_conv"
+        else "fixed_hist"), seed)
+    scorer = VariantScorer(model, pairing, discriminator, seed=seed)
+    patches = [(p, f) for f in frames for p in f.patches]
+    picks = data.draw(st.lists(
+        st.tuples(st.integers(0, len(patches) - 1),
+                  st.integers(0, len(patches) - 1)),
+        min_size=1, max_size=8), label="rows")
+    rows = [(*patches[i], *patches[j]) for i, j in picks]
+    swapped = [(*patches[j], *patches[i]) for i, j in picks]
+    with ad.no_grad():
+        d = scorer.score_rows(rows).data
+        e = scorer.score_rows(swapped).data
+    assert d.shape == e.shape == (2, len(rows))
+    assert d[1].tobytes() == e[0].tobytes()
+    assert d[0].tobytes() == e[1].tobytes()
 
 
 def per_head_gat_layer(x, w, a_left, a_right):

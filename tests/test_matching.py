@@ -202,7 +202,7 @@ class TestDiscriminator:
                                    for i in range(4 + j)])
                   for j, fid in enumerate(("f0", "f1"))]
         model = init_model(ModelConfig(n=8, k=3), seed=4)
-        xy = VariantScorer(model).tables(FrameIndex(frames))
+        xy = FrameIndex(frames).score_tables(VariantScorer(model))
         assert xy.shape == (2, 9, 24)
         with ad.no_grad():
             emb = [assemble_embeddings(p, f, model)
@@ -249,17 +249,17 @@ class TestDiscriminator:
 class TestLoss:
     def test_uninformative_scores_give_ln2(self):
         half = ad.constant(np.full(4, 0.5))
-        loss = loss_from_scores(half, half, [1, 0, 1, 0])
+        loss = loss_from_scores(ad.stack_rows([half, half]), [1, 0, 1, 0])
         assert abs(float(loss.data) - math.log(2.0)) < 1e-15
 
     def test_perfect_scores_drive_loss_to_zero(self):
         d = ad.constant([1.0, 0.0])
-        loss = float(loss_from_scores(d, d, [1, 0]).data)
+        loss = float(loss_from_scores(ad.stack_rows([d, d]), [1, 0]).data)
         assert 0.0 < loss < 1e-6
 
     def test_hand_batch_value(self):
         d = ad.constant([0.8, 0.3])
-        loss = float(loss_from_scores(d, d, [1, 0]).data)
+        loss = float(loss_from_scores(ad.stack_rows([d, d]), [1, 0]).data)
         expected = (-math.log(0.8) - math.log(0.7)) / 2.0
         assert abs(loss - expected) < 1e-12
         assert abs(loss - 0.2899092476264711) < 1e-12
@@ -277,7 +277,8 @@ class TestLoss:
         with pytest.raises(ValueError):
             loss_emp_id([], model)
         with pytest.raises(ValueError):
-            loss_from_scores(ad.constant([]), ad.constant([]), [])
+            loss_from_scores(ad.stack_rows([ad.constant([]),
+                                            ad.constant([])]), [])
 
     def test_vector_loss_matches_per_pair_reference(self):
         rng = np.random.default_rng(22)
@@ -285,7 +286,7 @@ class TestLoss:
         raw[0] = (0.0, 1.0)  # both clamp edges
         labels = [1, 0, 0, 1, 1, 0, 1]
         d_xy, d_yx = ad.parameter(raw[:, 0]), ad.parameter(raw[:, 1])
-        loss = loss_from_scores(d_xy, d_yx, labels)
+        loss = loss_from_scores(ad.stack_rows([d_xy, d_yx]), labels)
         lo, hi = 1e-7, 1.0 - 1e-7
         d = np.clip(raw, lo, hi)
         y = np.asarray(labels, dtype=np.float64)[:, None]
@@ -300,9 +301,16 @@ class TestLoss:
     def test_bad_label_rejected(self):
         half = ad.constant([0.5])
         with pytest.raises(ValueError):
-            loss_from_scores(half, half, [2])
+            loss_from_scores(ad.stack_rows([half, half]), [2])
         with pytest.raises(ValueError):
-            loss_from_scores(half, half, [0, 1])
+            loss_from_scores(ad.stack_rows([half, half]), [0, 1])
+
+    def test_one_direction_alone_rejected(self):
+        # an (N,) tensor would broadcast against the N labels unnoticed
+        for shape in ((3,), (2, 4)):
+            with pytest.raises(ValueError,
+                               match="score/label count mismatch"):
+                loss_from_scores(ad.constant(np.full(shape, 0.5)), [1, 0, 1])
 
     def test_gradients_reach_every_component(self):
         rng = np.random.default_rng(6)
@@ -435,16 +443,18 @@ class FixedScorer:
     def __init__(self, table):
         self.table = table
 
-    def tables(self, index):
+    def operands(self, index, slots):
         slot = {patch.patch_id: s
                 for s, (patch, _) in enumerate(index.patches)}
         scores = np.zeros((len(slot), len(slot)))
         for (a, b), s in self.table.items():
             scores[slot[a], slot[b]] = scores[slot[b], slot[a]] = s
-        return np.stack([scores, np.eye(len(slot))])
+        slots = list(slots)
+        return (ad.constant(scores[slots]),
+                ad.constant(np.eye(len(slot))[slots]))
 
     def pair(self, x, y):
-        return np.sum(x * y, axis=-1)
+        return ad.tsum(x * y, axis=-1)
 
 
 class TestEvaluate:
@@ -549,7 +559,7 @@ class TestEvaluate:
         monkeypatch.setattr(matching, "featurize", counted)
         with ad.no_grad():
             VariantScorer(model).score_rows(row, index)
-        slots, _, _ = index.row_slots(row)
+        slots, _ = index.row_slots(row)
         vertices = {index.patches[v][0].patch_id
                     for s in slots for v in index.clique(s, 2)}
         assert len(vertices) == 6
@@ -559,8 +569,7 @@ class TestEvaluate:
         with ad.no_grad():
             kept = VariantScorer(model).score_rows(row, index)
             fresh = VariantScorer(model).score_rows(row, FrameIndex(frames))
-        for a, b in zip(kept, fresh):
-            assert a.data.tobytes() == b.data.tobytes()
+        assert kept.data.tobytes() == fresh.data.tobytes()
 
     def test_discriminator_products_made_once(self, monkeypatch):
         # 100 rows run as two inference chunks; the flagship's products
@@ -639,10 +648,10 @@ class TestAblation:
         fa, fb = make_frame("f0", patches_a), make_frame("f1", patches_b)
         scorer = VariantScorer(model, "f_f", "bilinear", seed=1)
         rows = [(patches_a[0], fa, patches_b[0], fb)]
-        before = [float(t.data[0]) for t in scorer.score_rows(rows)]
+        before = [float(d) for d in scorer.score_rows(rows).data[:, 0]]
         for t in model.gnn.tensors.values():
             t.data[...] += 10.0
-        after = [float(t.data[0]) for t in scorer.score_rows(rows)]
+        after = [float(d) for d in scorer.score_rows(rows).data[:, 0]]
         assert before == after
 
     def test_feature_only_variant_builds_no_graphs(self, monkeypatch):
@@ -672,9 +681,9 @@ class TestAblation:
                                 rng=rng) for i in range(3)]
         fa, fb = make_frame("f0", patches_a), make_frame("f1", patches_b)
         scorer = VariantScorer(model, pairing, disc, seed=2)
-        d1, d2 = scorer.score_rows([(patches_a[0], fa, patches_b[1], fb)])
+        d1, d2 = scorer.score_rows([(patches_a[0], fa, patches_b[1], fb)]).data
         for d in (d1, d2):
-            assert 0.0 <= float(d.data[0]) <= 1.0
+            assert 0.0 <= float(d[0]) <= 1.0
         if disc != "bilinear":
             assert scorer.trainable() == []
 
@@ -689,7 +698,7 @@ class TestAblation:
         rows = [(patches[0], frame, patches[1], frame)]
         sa = a.score_rows(rows)
         sb = b.score_rows(rows)
-        assert float(sa[0].data[0]) == float(sb[0].data[0])
+        assert float(sa.data[0, 0]) == float(sb.data[0, 0])
 
 
 class TestCheckpoint:

@@ -110,8 +110,8 @@ class TestScoreMatrix:
         fb = make_frame("f1", 5, (1, 0, 0), rng)
         rows = [(pa, fa, pb, fb) for pa in fa.patches for pb in fb.patches]
         with ad.no_grad():
-            d_xy, d_yx = matching.VariantScorer(model).score_rows(rows)
-        want = (0.5 * (d_xy.data + d_yx.data)).reshape(7, 5)
+            d_xy, d_yx = matching.VariantScorer(model).score_rows(rows).data
+        want = (0.5 * (d_xy + d_yx)).reshape(7, 5)
         monkeypatch.setattr(placerec, "INFERENCE_CHUNK", chunk)
         assert score_matrix(fa, fb, model).tobytes() == want.tobytes()
         assert score_matrix(fb, fa, model).T.tobytes() == want.tobytes()
@@ -390,13 +390,13 @@ class PlaceScorer:
     def __init__(self, high=0.9, low=0.1):
         self.high, self.low = high, low
 
-    def tables(self, index):
-        positions = np.array([frame.position for _, frame in index.patches])
-        return np.stack([positions, positions])
+    def operands(self, index, slots):
+        positions = ad.constant([index.patches[s][1].position for s in slots])
+        return positions, positions
 
     def pair(self, x, y):
-        return np.where(np.linalg.norm(x - y, axis=-1) < 10.0,
-                        self.high, self.low)
+        return ad.constant(np.where(np.linalg.norm(x.data - y.data, axis=-1)
+                                    < 10.0, self.high, self.low))
 
 
 class TestPlaceRecognitionEval:

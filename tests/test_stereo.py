@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import patchgraph.autodiff as ad
 from patchgraph.matching import ModelConfig, init_model
 from patchgraph.scene import (
     Landmark3D,
@@ -161,14 +162,15 @@ class LandmarkScorer:
     """Stub: same landmark scores high, otherwise low.  A slot's rows hold
     its landmark id's index, or NaN, which equals nothing, without one."""
 
-    def tables(self, index):
+    def operands(self, index, slots):
         ids = [patch.landmark_id for patch, _ in index.patches]
-        rows = np.array([[np.nan if i is None else ids.index(i)]
-                         for i in ids], dtype=np.float64)
-        return np.stack([rows, rows])
+        rows = ad.constant([[np.nan if ids[s] is None else ids.index(ids[s])]
+                            for s in slots])
+        return rows, rows
 
     def pair(self, x, y):
-        return np.where(x[..., 0] == y[..., 0], 0.99, 0.05)
+        return ad.constant(np.where(x.data[..., 0] == y.data[..., 0],
+                                    0.99, 0.05))
 
 
 class TestEstimateDepths:

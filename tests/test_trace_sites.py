@@ -43,7 +43,7 @@ def test_traced_run_sees_the_batched_hot_path():
     """A tiny train/evaluate/place run under the tracer records the graph
     network and the loss, and builds each patch's clique once per ``train``
     call.  The discriminator runs inside ``VariantScorer.operands`` and its
-    ``_pair``, which the tracer does not wrap, so its time counts as self
+    ``pair``, which the tracer does not wrap, so its time counts as self
     time of ``matching.train``, ``matching.evaluate`` and
     ``placerec.score_matrix``."""
     rng = np.random.default_rng(0)
