@@ -331,17 +331,6 @@ def row(a, i):
     return _make(a.data[..., i, :], (a,), (grad,))
 
 
-def slice1d(a, start, stop):
-    """Entries ``start:stop`` of the last axis."""
-
-    def grad(g):
-        full = np.zeros_like(a.data)
-        full[..., start:stop] = g
-        return full
-
-    return _make(a.data[..., start:stop], (a,), (grad,))
-
-
 def reshape(a, shape):
     return _make(a.data.reshape(shape), (a,),
                  (lambda g: g.reshape(a.data.shape),))

@@ -267,14 +267,13 @@ class FrameIndex:
     """What one scoring call (``train``, ``evaluate``,
     ``place_recognition_eval``, ...) computes once over its frames and
     reuses in every batch.  Each frame's patches hold consecutive slots, in
-    frame order (``frame_slots``).
+    frame order, from ``start[frame id]``.
 
-    No parameter shapes the cliques or a fixed featurizer's descriptors, so
-    they are kept for the call: each patch's clique as the slots of its
-    vertices (center first), and ``f`` as one (P, n) array.  Each scorer's
-    ``operands`` over every slot are kept for an inference call as one
-    (2, P, w) array (``score_tables``).  A trained featurizer's descriptors,
-    and in training the embeddings, are recomputed at every read.
+    The index keeps only what no parameter shapes: each patch's clique as
+    the slots of its vertices (center first), and a fixed featurizer's
+    descriptors ``f`` as one (P, n) array.  A trained featurizer's
+    descriptors, the embeddings and the scorers' operands are recomputed
+    at every read, so a kept index never scores with stale weights.
 
     The keys are frame and patch ids, which repeat across datasets (``synth``
     names frames ``s000/a`` at every seed), so an index serves one call on
@@ -296,17 +295,12 @@ class FrameIndex:
                       for slot, (patch, frame) in enumerate(self.patches)}
         self.cliques = {}      # slot -> vertex slots, center first
         self.f = None          # (P, n) descriptors, once made
-        self.xy = {}           # scorer -> its (2, P, w) score tables
 
     @classmethod
     def for_rows(cls, rows):
         """The index over the frames of rows that start with (patch_x,
         frame_x, patch_y, frame_y)."""
         return cls(frame for row in rows for frame in (row[1], row[3]))
-
-    def frame_slots(self, frame):
-        start = self.start[frame.frame_id]
-        return slice(start, start + len(frame.patches))
 
     def row_slots(self, rows):
         """(slots, at) for N rows that start with (patch_x, frame_x,
@@ -377,14 +371,17 @@ class FrameIndex:
             t["psi"] = ad.concat([t["g"], t["rho"], t["f"]])
         return t
 
-    def score_tables(self, scorer):
-        """``scorer.operands`` of every slot, made once per scorer without a
-        tape and kept as one (2, P, w) array: the x rows, then the y rows."""
-        if scorer not in self.xy:
-            with ad.no_grad():
-                x, y = scorer.operands(self, range(len(self.patches)))
-            self.xy[scorer] = np.stack([x.data, y.data])
-        return self.xy[scorer]
+    def frame_tables(self, scorer):
+        """{frame id: (2, A, w) array}: ``scorer.operands`` of every slot,
+        made in one pass without a tape and cut into each frame's rows, the
+        x rows then the y rows.  Trained weights shape them, so the index
+        does not keep them: the caller holds them for its own call."""
+        with ad.no_grad():
+            x, y = scorer.operands(self, range(len(self.patches)))
+        xy = np.stack([x.data, y.data])
+        ends = list(self.start.values())[1:] + [len(self.patches)]
+        return {frame_id: xy[:, start:end] for (frame_id, start), end
+                in zip(self.start.items(), ends)}
 
 
 # -- scoring ------------------------------------------------------------------
@@ -428,9 +425,11 @@ class VariantScorer:
     (x = a M, y = b for every bilinear form, the flagship's 2n x 3n M
     included), and ``pair(x, y)`` scores such rows, whose leading axes
     broadcast, into directed scores.  Both directions of a pair travel on
-    axis 0 of one stack: row 0 is x -> y, row 1 is y -> x.  ``score_rows``
-    gathers them from a batch's distinct slots; inference gathers them
-    from ``FrameIndex.score_tables``, the operands of every slot.
+    axis 0 of one stack: row 0 is x -> y, row 1 is y -> x.  A pair list
+    (``score_rows`` in training, ``symmetric_scores`` at inference)
+    gathers them from the operands of the slots its rows name; a frame
+    pair (``placerec.score_matrix``) reads them from
+    ``FrameIndex.frame_tables``, the operands of every slot.
     """
 
     def __init__(self, model, pairing="phi_psi", discriminator="bilinear",
@@ -466,12 +465,12 @@ class VariantScorer:
         m = self.model.disc.matrix() if self.matrix is None else self.matrix
         return _row_products(a, m), b
 
-    def score_rows(self, rows, cache=None):
+    def score_rows(self, rows, index=None):
         """The (2, N) tensor of directed scores, d_xy then d_yx, for N rows
-        that start with (patch_x, frame_x, patch_y, frame_y).  ``cache`` is
+        that start with (patch_x, frame_x, patch_y, frame_y).  ``index`` is
         the call's ``FrameIndex``; each distinct patch's operands are made
         once."""
-        index = FrameIndex.for_rows(rows) if cache is None else cache
+        index = FrameIndex.for_rows(rows) if index is None else index
         slots, at = index.row_slots(rows)
         x, y = self.operands(index, slots)
         return self.pair(ad.take(x, at), ad.take(y, at[::-1]))
@@ -490,27 +489,21 @@ class VariantScorer:
 INFERENCE_CHUNK = 64
 
 
-def _both_ways(scorer, a, b):
-    """(d_ab + d_ba) / 2 of score-table rows ``a`` and ``b``, each a (2, ...)
-    stack of x rows then y rows whose other leading axes broadcast: one
-    ``pair`` of a's rows against b's rows swapped."""
-    d = scorer.pair(ad.constant(a), ad.constant(b[::-1])).data
-    return 0.5 * (d[0] + d[1])
-
-
 def symmetric_scores(rows, scorer):
     """Inference scores (d_xy + d_yx) / 2 for rows that start with
-    (patch_x, frame_x, patch_y, frame_y): the rows' ends gathered from the
-    score tables of a new ``FrameIndex`` over their frames, per chunk of
-    INFERENCE_CHUNK rows, and scored both ways."""
+    (patch_x, frame_x, patch_y, frame_y): ``scorer.operands`` of the rows'
+    distinct slots, made once without a tape, then both directions per
+    chunk of INFERENCE_CHUNK rows, gathered as ``score_rows`` gathers
+    them."""
     index = FrameIndex.for_rows(rows)
-    xy = index.score_tables(scorer)
     slots, at = index.row_slots(rows)
-    ends = np.asarray(slots, dtype=np.intp)[at]   # (2, N) slots: x, then y
     scores = []
-    for start in range(0, len(rows), INFERENCE_CHUNK):
-        x, y = ends[:, start:start + INFERENCE_CHUNK]
-        scores.extend(_both_ways(scorer, xy[:, x], xy[:, y]).tolist())
+    with ad.no_grad():
+        x, y = scorer.operands(index, slots)
+        for start in range(0, len(rows), INFERENCE_CHUNK):
+            c = at[:, start:start + INFERENCE_CHUNK]
+            d = scorer.pair(ad.take(x, c), ad.take(y, c[::-1])).data
+            scores.extend((0.5 * (d[0] + d[1])).tolist())
     return scores
 
 
@@ -548,16 +541,16 @@ def loss_from_scores(d, labels):
     return ad.tsum(ad.log(picked)) * (-0.5 / len(labels))
 
 
-def loss_emp_id(batch, model, scorer=None, cache=None):
+def loss_emp_id(batch, model, scorer=None, index=None):
     """Information-distance loss over labeled patch pairs.
 
     ``batch`` rows are (patch_x, frame_x, patch_y, frame_y, label);
-    ``cache`` is the calling ``train``'s ``FrameIndex``.
+    ``index`` is the calling ``train``'s ``FrameIndex``.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
     scorer = VariantScorer(model) if scorer is None else scorer
-    return loss_from_scores(scorer.score_rows(batch, cache),
+    return loss_from_scores(scorer.score_rows(batch, index),
                             [row[4] for row in batch])
 
 
@@ -657,7 +650,7 @@ def train(corpus, model, train_config, scorer=None):
         epoch_losses = []
         for start in range(0, len(order), train_config.batch_size):
             batch = order[start:start + train_config.batch_size]
-            loss = loss_emp_id(batch, model, scorer=scorer, cache=index)
+            loss = loss_emp_id(batch, model, scorer=scorer, index=index)
             grads = ad.gradients(loss, params)
             ad.adam_step(params, grads, state)
             epoch_losses.append(float(loss.data))

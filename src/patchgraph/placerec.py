@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .config import SCHEMA
-from .matching import (INFERENCE_CHUNK, FrameIndex, VariantScorer,
-                       _both_ways, confusion)
+from .matching import INFERENCE_CHUNK, FrameIndex, VariantScorer, confusion
 from .seeds import rng_for
 
 SAME_PLACE_RADIUS_M = SCHEMA["place.radius"][0]
@@ -29,24 +29,27 @@ VAL_FRACTION = 0.5
 SINKHORN_RESIDUAL_TOL = 1e-6
 
 
-def score_matrix(frame_a, frame_b, model, scorer=None, cache=None):
+def score_matrix(frame_a, frame_b, model, scorer=None, tables=None):
     """The (A, B) array S[i][j] = symmetric match score between patch i of
     frame A and patch j of frame B.  Each frame's rows are its (2, A, w)
-    or (2, B, w) slice of the scorer's score tables in ``cache`` (a
-    ``matching.FrameIndex`` over both frames), made once per patch, and
-    once across calls that share the cache and the scorer; both directions
-    are scored as one ``scorer.pair`` broadcast per block of A's rows, each
-    block at most INFERENCE_CHUNK**2 patch pairs."""
+    or (2, B, w) entry in ``tables``, the ``FrameIndex.frame_tables`` of
+    the scorer over the caller's frames, or over these two frames when
+    none is given.  Both directions are scored as one ``scorer.pair``
+    broadcast per block of A's rows, each block at most INFERENCE_CHUNK**2
+    patch pairs, and S is 0.5 (d[0] + d[1])."""
     if not frame_a.patches or not frame_b.patches:
         raise ValueError("both frames need at least one patch")
     scorer = VariantScorer(model) if scorer is None else scorer
-    cache = FrameIndex([frame_a, frame_b]) if cache is None else cache
-    xy = cache.score_tables(scorer)
-    a, b = (xy[:, cache.frame_slots(f)] for f in (frame_a, frame_b))
+    if tables is None:
+        tables = FrameIndex([frame_a, frame_b]).frame_tables(scorer)
+    a, b = (tables[f.frame_id] for f in (frame_a, frame_b))
+    y = ad.constant(b[::-1, None])   # B's y rows, then its x rows
     step = max(1, INFERENCE_CHUNK ** 2 // b.shape[1])
-    return np.concatenate([_both_ways(scorer, a[:, i:i + step, None],
-                                      b[:, None])
-                           for i in range(0, a.shape[1], step)])
+    blocks = []
+    for i in range(0, a.shape[1], step):
+        d = scorer.pair(ad.constant(a[:, i:i + step, None]), y).data
+        blocks.append(0.5 * (d[0] + d[1]))
+    return np.concatenate(blocks)
 
 
 def sinkhorn_assign(scores, dustbin=DUSTBIN_DEFAULT, iterations=SINKHORN_ITERS,
@@ -146,22 +149,25 @@ def place_recognition_eval(frame_pairs, model, threshold=None, seed=0,
     """Score frame pairs, tune the threshold on a validation split when
     none is given, and report F1/accuracy on the remaining pairs, with the
     largest Sinkhorn marginal residual over every frame pair.  Tuning holds
-    out at least one pair on each side, so it needs two frame pairs.  One
-    ``FrameIndex`` over the pairs' frames serves the whole run, so each
-    patch's clique, embedding and score tables are computed once."""
+    out at least one pair on each side, so it needs two frame pairs.  The
+    scorer's ``frame_tables`` over the pairs' frames are made once and
+    serve every ``score_matrix`` of the run, so each patch is embedded
+    once."""
     if not frame_pairs:
         raise ValueError("no frame pairs to evaluate")
     if threshold is None and len(frame_pairs) < 2:
         raise ValueError("tuning the frame threshold needs at least two "
                          "frame pairs, got %d; set place.tune=false to use "
                          "place.gamma_f" % len(frame_pairs))
-    cache = FrameIndex(frame for pair in frame_pairs for frame in pair)
     scorer = VariantScorer(model) if scorer is None else scorer
+    index = FrameIndex(frame for pair in frame_pairs for frame in pair)
+    # no patch at all: score_matrix names the empty frame
+    tables = index.frame_tables(scorer) if index.patches else {}
     scored = []
     residual = 0.0
     for fa, fb in frame_pairs:
         label = same_place_label(fa, fb, radius)
-        s = score_matrix(fa, fb, model, scorer=scorer, cache=cache)
+        s = score_matrix(fa, fb, model, scorer=scorer, tables=tables)
         plan, pair_residual = sinkhorn_assign(s, dustbin, iterations, tau)
         residual = max(residual, pair_residual)
         value = frame_match_score(s, plan)

@@ -12,10 +12,11 @@ the paper's 1-d ``discriminate`` (or the variant's bilinear form), and sums
 the loss one directed score at a time.  Scores, loss and gradients must
 agree to 1e-12.
 
-Inference runs ``operands`` over every slot (kept by
-``FrameIndex.score_tables``) and scores the kept rows with the same
-``pair``; for every pairing and discriminator its scores must equal those
-of ``score_rows`` bit for bit.
+Inference runs the same ``operands`` and ``pair``: over the rows' slots
+for a pair list (``symmetric_scores``), over every slot of the call's
+frames for frame pairs (``FrameIndex.frame_tables``); for every pairing
+and discriminator its scores must equal those of ``score_rows`` bit for
+bit.
 """
 
 import itertools
@@ -107,7 +108,7 @@ def assert_matches_reference(rows, model, scorer):
                          ad.gradients(ref_loss, params)):
         np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
 
-    # inference: the score tables of a fresh index over the rows' frames
+    # inference: the operands of the rows' slots, made without a tape
     want = [0.5 * (float(a.data) + float(b.data)) for a, b in ref_scores]
     np.testing.assert_allclose(symmetric_scores(rows, scorer), want,
                                rtol=0, atol=TOL)
@@ -174,10 +175,11 @@ def row_route(rows, scorer):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_score_tables_match_the_row_route_bit_for_bit(data):
-    """``score_matrix`` and ``symmetric_scores`` read a scorer's score
-    tables, for each of the 15 pairings x discriminators; both must give
-    the bytes of the ``score_rows`` route, and a frame pair's matrix must
-    be the exact transpose of the swapped pair's."""
+    """``score_matrix``, with and without the ``frame_tables`` of an index
+    over every frame, and ``symmetric_scores``, for each of the 15
+    pairings x discriminators, must give the bytes of the ``score_rows``
+    route, and a frame pair's matrix must be the exact transpose of the
+    swapped pair's."""
     pairing, discriminator = data.draw(st.sampled_from(
         list(itertools.product(PAIRINGS, DISCRIMINATORS))), label="scorer")
     arch = data.draw(st.sampled_from(ARCHITECTURES), label="arch")
@@ -202,11 +204,11 @@ def test_score_tables_match_the_row_route_bit_for_bit(data):
         rows = [(pa, fa, pb, fb) for pa in fa.patches for pb in fb.patches]
         want = row_route(rows, scorer).reshape(len(fa.patches),
                                                len(fb.patches))
-        for cache in (None, index):
-            ab = score_matrix(fa, fb, model, scorer, cache)
+        for tables in (None, index.frame_tables(scorer)):
+            ab = score_matrix(fa, fb, model, scorer, tables)
             assert ab.tobytes() == want.tobytes()
             assert ab.tobytes() == score_matrix(fb, fa, model, scorer,
-                                                cache).T.tobytes()
+                                                tables).T.tobytes()
     patches = [(p, f) for f in frames for p in f.patches]
     picks = data.draw(st.lists(
         st.tuples(st.integers(0, len(patches) - 1),
@@ -257,11 +259,14 @@ def test_row_one_is_the_swapped_rows_row_zero(data):
 def per_head_gat_layer(x, w, a_left, a_right):
     """The gat layer as one tape branch per head, each head reading its
     column block of ``w`` and its rows of the attention vectors, with the
-    heads' outputs concatenated: the reference for the stacked layer."""
+    heads' outputs concatenated: the reference for the stacked layer.  A
+    head's column block is ``w`` times a 0/1 selection matrix, a product
+    that is exact in floating point."""
     heads, dh = a_left.data.shape
+    eye = np.eye(w.data.shape[1])
     outs = []
     for h in range(heads):
-        wx = x @ ad.slice1d(w, h * dh, (h + 1) * dh)
+        wx = x @ (w @ ad.constant(eye[:, h * dh:(h + 1) * dh]))
         s = wx @ ad.row(a_left, h)
         t = wx @ ad.row(a_right, h)
         alpha = ad.softmax(ad.leaky_relu(ad.add_outer(s, t), slope=0.2))

@@ -202,7 +202,8 @@ class TestDiscriminator:
                                    for i in range(4 + j)])
                   for j, fid in enumerate(("f0", "f1"))]
         model = init_model(ModelConfig(n=8, k=3), seed=4)
-        xy = FrameIndex(frames).score_tables(VariantScorer(model))
+        tables = FrameIndex(frames).frame_tables(VariantScorer(model))
+        xy = np.concatenate([tables[f.frame_id] for f in frames], axis=1)
         assert xy.shape == (2, 9, 24)
         with ad.no_grad():
             emb = [assemble_embeddings(p, f, model)
@@ -570,6 +571,62 @@ class TestEvaluate:
             kept = VariantScorer(model).score_rows(row, index)
             fresh = VariantScorer(model).score_rows(row, FrameIndex(frames))
         assert kept.data.tobytes() == fresh.data.tobytes()
+
+    def test_evaluate_embeds_only_the_slots_its_rows_name(self,
+                                                          monkeypatch):
+        # 3 rows name 4 of the 20 patches: the graph network embeds those
+        # 4, and a trained featurizer reads only their cliques' vertices
+        rng = np.random.default_rng(12)
+        frames = [make_frame(fid, [make_patch("%s/p%d" % (fid, i), fid,
+                                              (2.0 * i, 0.0, 10.0), rng=rng)
+                                   for i in range(10)])
+                  for fid in ("f0", "f1")]
+        a, b = frames[0].patches, frames[1].patches
+        corpus = PairCorpus.from_frames(frames, [
+            PairEntry(a[1].patch_id, b[2].patch_id, 1),
+            PairEntry(a[1].patch_id, b[7].patch_id, 0),
+            PairEntry(a[5].patch_id, b[2].patch_id, 0)])
+        model = init_model(ModelConfig(n=8, k=2, featurizer="tiny_conv"),
+                           seed=12)
+        embedded, calls = [], []
+        embed_graph, featurize = matching.embed_graph, matching.featurize
+
+        def counted_embed(x, params, pool):
+            embedded.append(x.data.shape[0])
+            return embed_graph(x, params, pool=pool)
+
+        def counted_featurize(patch, params):
+            calls.append(patch.patch_id)
+            return featurize(patch, params)
+
+        monkeypatch.setattr(matching, "embed_graph", counted_embed)
+        monkeypatch.setattr(matching, "featurize", counted_featurize)
+        evaluate(corpus, model)
+        assert sum(embedded) == 4
+        index = FrameIndex(frames)
+        slots, _ = index.row_slots(corpus.rows)
+        vertices = {index.patches[v][0].patch_id
+                    for s in slots for v in index.clique(s, 2)}
+        assert sorted(calls) == sorted(vertices)
+
+    def test_frame_tables_follow_the_current_weights(self):
+        # an index kept across a weight update makes its tables anew
+        rng = np.random.default_rng(13)
+        frames = [make_frame(fid, [make_patch("%s/p%d" % (fid, i), fid,
+                                              (2.0 * i, 0.0, 10.0), rng=rng)
+                                   for i in range(5)])
+                  for fid in ("f0", "f1")]
+        model = init_model(ModelConfig(n=8, k=2), seed=13)
+        scorer = VariantScorer(model)
+        index = FrameIndex(frames)
+        before = index.frame_tables(scorer)
+        model.disc.m12.data += 0.5
+        after = index.frame_tables(scorer)
+        fresh = FrameIndex(frames).frame_tables(scorer)
+        assert list(after) == list(fresh) == ["f0", "f1"]
+        for fid in after:
+            assert after[fid].tobytes() == fresh[fid].tobytes()
+            assert after[fid].tobytes() != before[fid].tobytes()
 
     def test_discriminator_products_made_once(self, monkeypatch):
         # 100 rows run as two inference chunks; the flagship's products

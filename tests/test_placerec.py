@@ -124,6 +124,11 @@ class TestScoreMatrix:
                       np.zeros(3), [])
         with pytest.raises(ValueError):
             score_matrix(fa, empty, model)
+        # frame pairs without a single patch name the empty frame too
+        other = Frame("f2", standard_camera(position=(0, 0, 0)),
+                      np.zeros(3), [])
+        with pytest.raises(ValueError, match="at least one patch"):
+            place_recognition_eval([(empty, other)], model, threshold=0.5)
 
     def test_golden_case(self):
         golden = json.loads(GOLDEN.read_text())

@@ -28,8 +28,8 @@
 # pairs), so threshold tuning and the confusion counts work on 138
 # validation pairs.  eval (on the gcn-mean checkpoint and with
 # --perfect-oracle) and ablate run on data-few, the frames of data with at
-# most 5 pairs per scene: its 20 pairs name 32 of its 56 patches, and the
-# frame index embeds the other 24 too, which must change no output.
+# most 5 pairs per scene: its 20 pairs name 32 of its 56 patches, and eval
+# embeds only those 32.
 # ablate runs there again with the tiny_conv featurizer, so every bilinear
 # pairing, not only the flagship, trains with a featurizer that trains.
 #
