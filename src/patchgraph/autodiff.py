@@ -59,24 +59,15 @@ class Tensor:
         self._vjps = ()
         self._id = next(_ids)
 
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         return "Tensor(%r, requires_grad=%r)" % (self.data, self.requires_grad)
 
-    # -- operator sugar -------------------------------------------------
+    # -- operator sugar; the left operand is always a Tensor -------------
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
 
     def __neg__(self):
         return neg(self)
@@ -84,20 +75,8 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def _wrap(x):
@@ -409,14 +388,6 @@ def softmax(logits):
         return y * (g - inner)
 
     return _make(y, (logits,), (grad,))
-
-
-def add_outer(s, t):
-    """out[..., i, j] = s[..., i] + t[..., j] over the last axes."""
-    data = s.data[..., :, None] + t.data[..., None, :]
-    return _make(data, (s, t),
-                 (lambda g: _unbroadcast(g.sum(axis=-1), s.data.shape),
-                  lambda g: _unbroadcast(g.sum(axis=-2), t.data.shape)))
 
 
 # -- convolution ---------------------------------------------------------

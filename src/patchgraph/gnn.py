@@ -131,8 +131,7 @@ def gat_layer(x, w, a_left, a_right, activation=ad.elu):
     column = (heads,) + (1,) * (len(lead) - 1) + (dh, 1)
     s = wx @ ad.reshape(a_left, column)             # (heads, ..., V, 1)
     t = wx @ ad.reshape(a_right, column)
-    scores = ad.add_outer(ad.reshape(s, (heads,) + lead),
-                          ad.reshape(t, (heads,) + lead))
+    scores = s + ad.moveaxis(t, -1, -2)             # (heads, ..., V, V)
     alpha = ad.softmax(ad.leaky_relu(scores, slope=0.2))
     out = ad.moveaxis(alpha @ wx, 0, -2)            # (..., V, heads, dh)
     return activation(ad.reshape(out, lead + (heads * dh,)))

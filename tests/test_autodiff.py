@@ -24,7 +24,7 @@ def test_bilinear_hand_value():
     m = ad.parameter([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     b = ad.parameter([3.0, 4.0, 5.0])
     out = ad.matmul(a, m @ b)
-    assert out.item() == pytest.approx(11.0, abs=0.0)
+    assert float(out.data) == pytest.approx(11.0, abs=0.0)
 
 
 def test_bilinear_hand_gradients():
@@ -46,18 +46,19 @@ def test_elementwise_ops_match_finite_differences(seed):
     y = ad.parameter(rng.uniform(0.5, 2.0, size=7))
 
     cases = {
-        "add": lambda: (x + y).sum(),
-        "sub": lambda: (x - y).sum(),
-        "mul": lambda: (x * y).sum(),
-        "neg": lambda: (-x).sum(),
-        "sigmoid": lambda: ad.sigmoid(x).sum(),
-        "relu": lambda: ad.relu(x + 0.05).sum(),
-        "leaky": lambda: ad.leaky_relu(x + 0.05, 0.2).sum(),
-        "elu": lambda: ad.elu(x).sum(),
-        "exp": lambda: ad.exp(x).sum(),
-        "log": lambda: ad.log(y).sum(),
-        "sqrt": lambda: ad.sqrt(y).sum(),
-        "scalar_mix": lambda: (2.0 * x - x * (1.0 / 3.0) + 1.0).sum(),
+        "add": lambda: ad.tsum(x + y),
+        "sub": lambda: ad.tsum(x - y),
+        "mul": lambda: ad.tsum(x * y),
+        "neg": lambda: ad.tsum(-x),
+        "sigmoid": lambda: ad.tsum(ad.sigmoid(x)),
+        "relu": lambda: ad.tsum(ad.relu(x + 0.05)),
+        "leaky": lambda: ad.tsum(ad.leaky_relu(x + 0.05, 0.2)),
+        "elu": lambda: ad.tsum(ad.elu(x)),
+        "exp": lambda: ad.tsum(ad.exp(x)),
+        "log": lambda: ad.tsum(ad.log(y)),
+        "sqrt": lambda: ad.tsum(ad.sqrt(y)),
+        "scalar_mix": lambda: ad.tsum(ad.constant(2.0) * x - x * (1.0 / 3.0)
+                                      + 1.0),
     }
     for name, f in cases.items():
         err = _fd_check(f, [x, y])
@@ -73,9 +74,9 @@ def test_matmul_shapes_match_finite_differences(seed):
     v3 = ad.parameter(rng.standard_normal(3))
 
     cases = [
-        (lambda: (a2 @ b2).sum(), [a2, b2]),
-        (lambda: (a2 @ v4).sum(), [a2, v4]),
-        (lambda: (v3 @ a2).sum(), [v3, a2]),
+        (lambda: ad.tsum(a2 @ b2), [a2, b2]),
+        (lambda: ad.tsum(a2 @ v4), [a2, v4]),
+        (lambda: ad.tsum(v3 @ a2), [v3, a2]),
         (lambda: ad.matmul(v4, v4), [v4]),
     ]
     for f, params in cases:
@@ -96,14 +97,15 @@ def test_structural_ops_match_finite_differences(seed):
     cases = [
         (lambda: ad.matmul(ad.concat([u, v]), weights), [u, v]),
         (lambda: ad.matmul(ad.row(ad.stack_rows([u, u * 2.0, u - 1.0]), 1), rowsel), [u]),
-        (lambda: (ad.concat([m, w])).sum(), [m, w]),
-        (lambda: ad.reshape(m, (12,)).mean(), [m]),
-        (lambda: m.sum(axis=0).sum(), [m]),
-        (lambda: m.mean(axis=1).sum(), [m]),
-        (lambda: ad.add_outer(u, v).sum(), [u, v]),
-        (lambda: ad.clamp(v, -0.5, 0.5).sum(), [v]),
-        (lambda: ad.tmax(m, axis=0).sum(), [m]),
-        (lambda: ad.tmax(m, axis=1).sum(), [m]),
+        (lambda: ad.tsum(ad.concat([m, w])), [m, w]),
+        (lambda: ad.tmean(ad.reshape(m, (12,))), [m]),
+        (lambda: ad.tsum(ad.tsum(m, axis=0)), [m]),
+        (lambda: ad.tsum(ad.tmean(m, axis=1)), [m]),
+        (lambda: ad.tsum(ad.reshape(u, (3, 1)) + ad.reshape(v, (1, 4))),
+         [u, v]),
+        (lambda: ad.tsum(ad.clamp(v, -0.5, 0.5)), [v]),
+        (lambda: ad.tsum(ad.tmax(m, axis=0)), [m]),
+        (lambda: ad.tsum(ad.tmax(m, axis=1)), [m]),
     ]
     for f, params in cases:
         assert _fd_check(f, params) < 1e-4
@@ -113,7 +115,7 @@ def test_tmax_values_and_argmax_routing():
     m = ad.parameter([[1.0, 5.0], [3.0, 2.0]])
     out = ad.tmax(m, axis=0)
     assert np.array_equal(out.data, [3.0, 5.0])
-    (g,) = ad.gradients(out.sum(), [m])
+    (g,) = ad.gradients(ad.tsum(out), [m])
     assert np.array_equal(g, [[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -132,7 +134,7 @@ def test_softmax_gradient(seed):
     coef = ad.constant(rng.standard_normal((4, 4)))
 
     def f():
-        return (ad.softmax(logits) * coef).sum()
+        return ad.tsum(ad.softmax(logits) * coef)
 
     assert _fd_check(f, [logits]) < 1e-4
 
@@ -167,7 +169,7 @@ def test_conv2d_gradient(seed):
     coef = ad.constant(rng.standard_normal((2, 3, 3)))
 
     def f():
-        return (ad.conv2d(x, w, b, stride=2, padding=1) * coef).sum()
+        return ad.tsum(ad.conv2d(x, w, b, stride=2, padding=1) * coef)
 
     assert _fd_check(f, [x, w, b]) < 1e-4
 
@@ -185,14 +187,14 @@ def test_sigmoid_is_stable_and_bounded():
 def test_forward_never_produces_nan_for_bounded_inputs(vals):
     x = ad.parameter(vals)
     y = ad.sigmoid(x) * ad.elu(x) + ad.relu(x)
-    z = ad.log(ad.clamp(ad.sigmoid(y), 1e-7, 1.0 - 1e-7)).sum()
+    z = ad.tsum(ad.log(ad.clamp(ad.sigmoid(y), 1e-7, 1.0 - 1e-7)))
     assert np.isfinite(z.data)
 
 
 def test_unused_parameter_gets_exact_zero_gradient():
     x = ad.parameter([1.0, 2.0])
     unused = ad.parameter([[3.0, 4.0]])
-    loss = (x * x).sum()
+    loss = ad.tsum(x * x)
     gx, gu = ad.gradients(loss, [x, unused])
     assert np.all(gu == 0.0)
     np.testing.assert_allclose(gx, 2 * x.data, atol=0)
@@ -206,7 +208,7 @@ def test_gradients_are_bit_identical_across_runs():
     def run():
         wt = ad.parameter(w.copy())
         vt = ad.parameter(v.copy())
-        loss = ad.sigmoid(ad.matmul(vt, wt @ vt)).sum()
+        loss = ad.tsum(ad.sigmoid(ad.matmul(vt, wt @ vt)))
         return ad.gradients(loss, [wt, vt])
 
     g1 = run()
@@ -218,9 +220,9 @@ def test_gradients_are_bit_identical_across_runs():
 def test_no_grad_blocks_tape_construction():
     x = ad.parameter([1.0, 2.0])
     with ad.no_grad():
-        y = (x * 3.0).sum()
+        y = ad.tsum(x * 3.0)
     assert not y.requires_grad
-    assert ad.gradients((x * 1.0).sum(), [x])[0] is not None
+    assert ad.gradients(ad.tsum(x * 1.0), [x])[0] is not None
 
 
 def test_adam_first_step_closed_form():
@@ -265,7 +267,7 @@ def test_grad_check_reports_large_error_for_wrong_gradient():
     def wrong_square(t):
         return ad._make(t.data ** 2, (t,), (lambda g: g * 3.0 * t.data,))
 
-    err = ad.grad_check(lambda: wrong_square(x).sum(), [x])
+    err = ad.grad_check(lambda: ad.tsum(wrong_square(x)), [x])
     assert err > 1e-2
 
 
@@ -340,10 +342,10 @@ def test_stacked_matmul_matches_finite_differences(seed):
     coef = ad.constant(rng.standard_normal((2, 3, 5)))
 
     cases = [
-        (lambda: (x3 @ w2 * coef).sum(), [x3, w2]),        # 3-d @ 2-d
-        (lambda: (a2 @ x3 @ w2 * coef).sum(), [a2, x3]),   # 2-d @ 3-d
-        (lambda: ad.sigmoid(x3 @ v4).sum(), [x3, v4]),     # 3-d @ 1-d
-        (lambda: ad.sigmoid(x3 @ y3).sum(), [x3, y3]),     # 3-d @ 3-d
+        (lambda: ad.tsum(x3 @ w2 * coef), [x3, w2]),        # 3-d @ 2-d
+        (lambda: ad.tsum(a2 @ x3 @ w2 * coef), [a2, x3]),   # 2-d @ 3-d
+        (lambda: ad.tsum(ad.sigmoid(x3 @ v4)), [x3, v4]),     # 3-d @ 1-d
+        (lambda: ad.tsum(ad.sigmoid(x3 @ y3)), [x3, y3]),     # 3-d @ 3-d
     ]
     for f, params in cases:
         assert _fd_check(f, params) < 1e-4
@@ -365,8 +367,9 @@ def test_take_with_repeated_indices():
     coef = ad.constant(rng.standard_normal((2, 3, 3)))
     out = ad.take(table, idx)
     assert np.array_equal(out.data, table.data[idx])
-    assert _fd_check(lambda: (ad.take(table, idx) * coef).sum(), [table]) < 1e-4
-    (g,) = ad.gradients(ad.take(table, idx).sum(), [table])
+    assert _fd_check(lambda: ad.tsum(ad.take(table, idx) * coef),
+                     [table]) < 1e-4
+    (g,) = ad.gradients(ad.tsum(ad.take(table, idx)), [table])
     np.testing.assert_array_equal(g[:, 0], [3.0, 0.0, 2.0, 1.0])
 
 
@@ -382,26 +385,27 @@ def test_last_axis_structure_on_stacks(seed):
     coef_rows = ad.constant(rng.standard_normal((4, 3, 2)))
 
     cases = [
-        (lambda: (ad.concat([a, b, a]) * coef[8]).sum(), [a, b]),
-        (lambda: (ad.concat([a, a], axis=0) * coef_rows).sum(), [a]),
-        (lambda: (ad.concat([a, b]) * coef[6]).sum(), [a, b]),
-        (lambda: (ad.add_outer(s, t) * coef[3]).sum(), [s, t]),
-        (lambda: (ad.softmax(logits) * coef[3]).sum(), [logits]),
-        (lambda: (ad.tmax(b, axis=-2) * ad.constant(np.arange(8.0)
-                                                    .reshape(2, 4))).sum(),
+        (lambda: ad.tsum(ad.concat([a, b, a]) * coef[8]), [a, b]),
+        (lambda: ad.tsum(ad.concat([a, a], axis=0) * coef_rows), [a]),
+        (lambda: ad.tsum(ad.concat([a, b]) * coef[6]), [a, b]),
+        (lambda: ad.tsum((ad.reshape(s, (2, 3, 1)) + ad.reshape(t, (2, 1, 3)))
+                         * coef[3]), [s, t]),
+        (lambda: ad.tsum(ad.softmax(logits) * coef[3]), [logits]),
+        (lambda: ad.tsum(ad.tmax(b, axis=-2) * ad.constant(np.arange(8.0)
+                                                           .reshape(2, 4))),
          [b]),
     ]
     for f, params in cases:
         assert _fd_check(f, params) < 1e-4
 
 
-def test_batched_add_outer_and_softmax_match_per_slice():
+def test_batched_broadcast_add_and_softmax_match_per_slice():
     rng = np.random.default_rng(540)
     s, t = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
-    outer = ad.add_outer(ad.constant(s), ad.constant(t)).data
+    outer = (ad.constant(s[:, :, None]) + ad.constant(t[:, None, :])).data
     soft = ad.softmax(ad.constant(outer)).data
     for b in range(3):
-        one = ad.add_outer(ad.constant(s[b]), ad.constant(t[b]))
+        one = ad.constant(s[b][:, None]) + ad.constant(t[b][None, :])
         assert np.array_equal(outer[b], one.data)
         assert np.array_equal(soft[b], ad.softmax(one).data)
 
@@ -415,7 +419,7 @@ def test_unbroadcast_sums_a_stack_back_to_a_matrix():
                                g.sum(axis=(0, 1))[None, :], atol=1e-15)
     w = ad.parameter(rng.standard_normal((3, 3)))
     x = ad.constant(rng.standard_normal((5, 3, 3)))
-    (gw,) = ad.gradients((w * x).sum(), [w])
+    (gw,) = ad.gradients(ad.tsum(w * x), [w])
     np.testing.assert_allclose(gw, x.data.sum(axis=0), atol=1e-15)
 
 
@@ -430,7 +434,7 @@ def test_moveaxis_values_and_gradient(source, destination):
     coef = ad.constant(rng.standard_normal(moved.data.shape))
 
     def f():
-        return (ad.moveaxis(a, source, destination) * coef).sum()
+        return ad.tsum(ad.moveaxis(a, source, destination) * coef)
 
     assert _fd_check(f, [a]) < 1e-4
     # the gradient is the coefficients moved back, exactly

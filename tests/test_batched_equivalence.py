@@ -89,7 +89,7 @@ def reference(rows, model, scorer):
         scores.append(pair)
         for d in pair:
             d = ad.clamp(d, lo, hi)
-            loss = loss + ad.log(d if label else 1.0 - d)
+            loss = loss + ad.log(d if label else ad.constant(1.0) - d)
     return scores, loss * (-0.5 / len(rows))
 
 
@@ -269,7 +269,9 @@ def per_head_gat_layer(x, w, a_left, a_right):
         wx = x @ (w @ ad.constant(eye[:, h * dh:(h + 1) * dh]))
         s = wx @ ad.row(a_left, h)
         t = wx @ ad.row(a_right, h)
-        alpha = ad.softmax(ad.leaky_relu(ad.add_outer(s, t), slope=0.2))
+        scores = (ad.reshape(s, s.data.shape + (1,))
+                  + ad.reshape(t, t.data.shape[:-1] + (1, -1)))
+        alpha = ad.softmax(ad.leaky_relu(scores, slope=0.2))
         outs.append(alpha @ wx)
     return ad.elu(ad.concat(outs))
 
