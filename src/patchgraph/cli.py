@@ -138,6 +138,7 @@ def cmd_synth(cfg, seed, out_dir, args):
         origin = np.array([s * cfg["synth.scene_spacing"], 0.0, 0.0])
         for lm in landmarks:
             lm.position = lm.position + origin
+            lm.landmark_id = "s%03d/%s" % (s, lm.landmark_id)
         gap = cfg["synth.camera_gap"]
         cam_a = standard_camera(position=origin + [-0.5 * gap, 1.5, 0.0])
         cam_b = standard_camera(position=origin + [0.5 * gap, 1.5, 0.0])
@@ -338,6 +339,11 @@ def cmd_stereo(cfg, seed, out_dir, args):
         scorer, model = None, load_model(args.checkpoint)
     estimates = estimate_depths(left, right, model, geometry,
                                 threshold=cfg["stereo.gamma"], scorer=scorer)
+    if not estimates:
+        best = score_matrix(left, right, model, scorer=scorer).max()
+        print("warning: no patch pair scored above stereo.gamma=%g (best "
+              "score %.6f), so no depth was estimated"
+              % (cfg["stereo.gamma"], best), file=sys.stderr)
     truth = {lm.landmark_id: float(lm.position[2]) for lm in landmarks}
     right_lm = {p.patch_id: p.landmark_id for p in right.patches}
     rows, sq_errors = [], []

@@ -107,8 +107,11 @@ class DiscriminatorParams:
                           ad.concat([self.m21, self.m22, self.m23])], axis=0)
 
     def full_matrix(self):
-        """``matrix()`` as an array."""
-        return self.matrix().data
+        """The same M as an array, laid out from the blocks' arrays apart
+        from ``matrix()``, so that a reference route can check its layout."""
+        zero = np.zeros((self.n, self.n))
+        return np.block([[zero, self.m12.data, zero],
+                         [self.m21.data, self.m22.data, self.m23.data]])
 
 
 def init_discriminator(n, seed):

@@ -26,6 +26,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import patchgraph.autodiff as ad
 from patchgraph.cli import OracleScorer
@@ -40,6 +41,7 @@ from patchgraph.infotheory import (
     random_pair_model,
 )
 from patchgraph.matching import (
+    DiscriminatorParams,
     ModelConfig,
     PairCorpus,
     TrainConfig,
@@ -170,6 +172,19 @@ def test_criterion_02_block_bilinear_equivalence():
         via_blocks = float(discriminate(phi, psi, disc).data)
         via_matrix = full_bilinear_score(phi, psi, disc)
         assert abs(via_blocks - via_matrix) < 1e-12
+
+
+def test_criterion_02_catches_swapped_blocks(monkeypatch):
+    """The assembled reference lays M out on its own, so criterion 2 fails
+    when ``matrix()`` swaps M21 and M23."""
+    def swapped(disc):
+        zero = ad.constant(np.zeros((disc.n, disc.n)))
+        return ad.concat([ad.concat([zero, disc.m12, zero]),
+                          ad.concat([disc.m23, disc.m22, disc.m21])], axis=0)
+
+    monkeypatch.setattr(DiscriminatorParams, "matrix", swapped)
+    with pytest.raises(AssertionError):
+        test_criterion_02_block_bilinear_equivalence()
 
 
 # -- criterion 3: divergence lower bound ---------------------------------------

@@ -175,6 +175,26 @@ class TestEval:
         assert rep["perfect_oracle"] is True
         assert rep["fn"] == 0 and rep["fp"] == 0
 
+    def test_perfect_oracle_is_perfect_across_scenes(self, tmp_path):
+        """Landmark ids are unique per dataset, so unmatched pairs across
+        two scenes, whose landmarks share scene-local numbers, stay
+        unmatched for the oracle."""
+        data = str(tmp_path / "data")
+        assert main(["synth", "--seed", "3", "--out", data]
+                    + TINY_SYNTH) == 0
+        frames = {f.frame_id: f for f in scene.load_dataset(
+            os.path.join(data, "manifest.jsonl")).frames}
+        with open(os.path.join(data, "pairs.csv"), "a") as fh:
+            for pa in frames["s000/a"].patches[:4]:
+                for pb in frames["s001/b"].patches[:4]:
+                    fh.write("%s,%s,0\n" % (pa.patch_id, pb.patch_id))
+        out = str(tmp_path / "ev")
+        assert main(["eval", "--data", data, "--out", out,
+                     "--perfect-oracle"] + TINY_MODEL) == 0
+        rep = read_json(os.path.join(out, "eval_report.json"))
+        assert rep["precision"] == 1.0
+        assert rep["recall"] == 1.0
+
     def test_oracle_scores_landmark_identity(self):
         """0.99 for the same landmark id, 0.01 for different ids and for two
         patches that both lack one, through ``score_matrix`` and
@@ -380,6 +400,30 @@ class TestStereo:
         for row in rows:
             if row[4] == "1":
                 assert abs(float(row[5]) - float(row[6])) < 1e-6
+
+    def test_no_estimate_warns_with_the_best_score(self, tmp_path, capsys):
+        """No oracle score (0.99) clears stereo.gamma=0.99, so stereo warns
+        once, naming both; the report and CSV say no more than before."""
+        out = str(tmp_path / "s")
+        capsys.readouterr()
+        assert main(["stereo", "--seed", "11", "--out", out,
+                     "--set", "stereo.oracle_match=true",
+                     "--set", "stereo.gamma=0.99",
+                     "--set", "stereo.landmarks=4"] + TINY_MODEL) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert warnings == ["warning: no patch pair scored above "
+                            "stereo.gamma=0.99 (best score 0.990000), so no "
+                            "depth was estimated"]
+        rep = read_json(os.path.join(out, "stereo_report.json"))
+        assert rep["estimates"] == rep["valid"] == 0
+        assert rep["rmse_m"] == "no valid estimates"
+        _, rows = read_csv(os.path.join(out, "stereo.csv"))
+        assert rows == []
+        assert main(["stereo", "--seed", "11", "--out", str(tmp_path / "t"),
+                     "--set", "stereo.oracle_match=true",
+                     "--set", "stereo.landmarks=4"] + TINY_MODEL) == 0
+        assert "warning:" not in capsys.readouterr().err
 
     def test_depth_range_respected(self, tmp_path):
         out = str(tmp_path / "s")

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -434,6 +435,36 @@ class TestTraining:
         _, frames = feature_corpus(n=4, landmarks=2, seed=15)
         with pytest.raises(KeyError):
             PairCorpus.from_frames(frames, [PairEntry("f0/p000", "nope", 1)])
+
+
+    @pytest.mark.parametrize("balance", [False, True])
+    def test_epoch_resamples_the_minority_only_when_balancing(
+            self, monkeypatch, balance):
+        """One epoch over 3 matched and 6 unmatched rows visits each row
+        exactly once with ``balance`` off; with it on, it visits every
+        unmatched row once and matched rows 6 times in all, each at least
+        once."""
+        corpus, _ = feature_corpus(n=4, landmarks=3, seed=16, unmatched=6)
+        seen = []
+        real = matching.loss_emp_id
+
+        def recording(batch, *args, **kwargs):
+            seen.extend((r[0].patch_id, r[2].patch_id, r[4]) for r in batch)
+            return real(batch, *args, **kwargs)
+
+        monkeypatch.setattr(matching, "loss_emp_id", recording)
+        model = init_model(ModelConfig(n=4, k=2), seed=16)
+        train(corpus, model, TrainConfig(epochs=1, lr=0.01, batch_size=4,
+                                         seed=0, balance=balance))
+        rows = [(r[0].patch_id, r[2].patch_id, r[4]) for r in corpus.rows]
+        assert len(set(rows)) == 9
+        counts = Counter(seen)
+        if not balance:
+            assert counts == Counter(rows)
+            return
+        assert set(counts) == set(rows)
+        assert all(counts[r] == 1 for r in rows if r[2] == 0)
+        assert sum(counts[r] for r in rows if r[2] == 1) == 6
 
 
 class FixedScorer:
