@@ -19,18 +19,21 @@
 # two ground-truth oracles (eval --perfect-oracle, stereo with
 # stereo.oracle_match=true), verify-theory with small model counts, and
 # place on a one-scene dataset (two frames, so one frame pair) with
-# threshold tuning on and off.  place on the gcn-mean checkpoint runs
-# again with place.dustbin=0.5; with place.iters=2 and with
-# place.dustbin=-5, where the place.iters cap stops the plans (all of
-# them at 2, most at -5) unconverged, so they take the Sinkhorn residual
+# threshold tuning on and off.  stereo on the gcn-mean checkpoint runs again
+# with stereo.gamma=0, so every left patch keeps its best match: the
+# model's matches, one of them at a non-positive disparity (an invalid
+# row), reach stereo.csv, which no other stereo run writes.  place on the
+# gcn-mean checkpoint runs again with place.dustbin=0.5; with place.iters=2
+# and with place.dustbin=-5, where the place.iters cap stops the plans (all
+# of them at 2, most at -5) unconverged, so they take the Sinkhorn residual
 # warning path; and with place.iters=400, where every plan reaches its
-# bitwise fixed point (Sinkhorn's early exit) long before the cap.  It
-# runs once more on data-12, a 12-scene dataset (24 frames, 276 frame
-# pairs), so threshold tuning and the confusion counts work on 138
-# validation pairs.  eval (on the gcn-mean checkpoint and with
-# --perfect-oracle) and ablate run on data-few, the frames of data with at
-# most 5 pairs per scene: its 20 pairs name 32 of its 56 patches, and eval
-# embeds only those 32.
+# bitwise fixed point (Sinkhorn's early exit) long before the cap.  It runs
+# once more on data-12, a 12-scene dataset (24 frames, 276 frame pairs), so
+# threshold tuning and the confusion counts work on 138 validation
+# pairs.  eval (on the gcn-mean checkpoint and with --perfect-oracle) and
+# ablate run on data-few, the frames of data with at most 5 pairs per
+# scene: its 20 pairs name 32 of its 56 patches, and eval embeds only those
+# 32.
 # ablate runs there again with the tiny_conv featurizer, so every bilinear
 # pairing, not only the flagship, trains with a featurizer that trains.
 #
@@ -107,6 +110,8 @@ pg place --data data-two --checkpoint two/train/model.json \
     --out two/place-tuned
 pg place --data data-two --checkpoint two/train/model.json \
     --set place.tune=false --out two/place-fixed
+pg stereo --checkpoint gcn-mean/train/model.json --set stereo.gamma=0 \
+    --out gcn-mean/stereo-all
 pg place --data data --checkpoint gcn-mean/train/model.json \
     --set place.dustbin=0.5 --out gcn-mean/place-dustbin
 pg place --data data --checkpoint gcn-mean/train/model.json \
