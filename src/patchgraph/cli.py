@@ -190,11 +190,9 @@ def cmd_train(cfg, seed, out_dir, args):
 
 def cmd_eval(cfg, seed, out_dir, args):
     _, corpus = _load_corpus(args.data)
-    if args.perfect_oracle:
-        model, scorer = None, OracleScorer()
-    else:
-        model, scorer = load_model(args.checkpoint), None
-    metrics = evaluate(corpus, model, gamma=cfg["model.gamma"], scorer=scorer)
+    scorer = (OracleScorer() if args.perfect_oracle
+              else VariantScorer(load_model(args.checkpoint)))
+    metrics = evaluate(corpus, None, gamma=cfg["model.gamma"], scorer=scorer)
     _write_csv(out_dir, "eval_pairs.csv",
                ["patch_a", "patch_b", "label", "score", "decision"],
                [(r[0].patch_id, r[2].patch_id, r[4], "%.10f" % s,
@@ -222,9 +220,8 @@ def cmd_match(cfg, seed, out_dir, args):
         raise ValueError("frame id(s) not in dataset: %s (have: %s)"
                          % (", ".join(missing),
                             ", ".join(sorted(by_id) or ["none"])))
-    model = load_model(args.checkpoint)
     fa, fb = by_id[args.frame_a], by_id[args.frame_b]
-    scores = score_matrix(fa, fb, model)
+    scores = score_matrix(fa, fb, VariantScorer(load_model(args.checkpoint)))
     gamma = cfg["model.gamma"]
     rows = []
     for i, pa in enumerate(fa.patches):
@@ -333,31 +330,27 @@ def cmd_stereo(cfg, seed, out_dir, args):
                         sigma_pixel=cfg["synth.sigma_pixel"])
     left, right = render_views(landmarks, cam_l, cam_r, noise, seed)
     geometry = StereoGeometry(fx=cam_l.fx, baseline=baseline)
-    if cfg["stereo.oracle_match"]:
-        scorer, model = OracleScorer(), None
-    else:
-        scorer, model = None, load_model(args.checkpoint)
-    estimates = estimate_depths(left, right, model, geometry,
-                                threshold=cfg["stereo.gamma"], scorer=scorer)
+    scorer = (OracleScorer() if cfg["stereo.oracle_match"]
+              else VariantScorer(load_model(args.checkpoint)))
+    scores = score_matrix(left, right, scorer)
+    estimates = estimate_depths(left, right, scores, geometry,
+                                threshold=cfg["stereo.gamma"])
     if not estimates:
-        best = score_matrix(left, right, model, scorer=scorer).max()
         print("warning: no patch pair scored above stereo.gamma=%g (best "
               "score %.6f), so no depth was estimated"
-              % (cfg["stereo.gamma"], best), file=sys.stderr)
+              % (cfg["stereo.gamma"], scores.max()), file=sys.stderr)
     truth = {lm.landmark_id: float(lm.position[2]) for lm in landmarks}
     right_lm = {p.patch_id: p.landmark_id for p in right.patches}
     rows, sq_errors = [], []
     for est in estimates:
-        true_z = truth.get(right_lm.get(est.right_id))
-        err = None
-        if est.valid and true_z is not None:
-            err = abs(est.depth - true_z)
-            sq_errors.append(err ** 2)
+        true_z = truth[right_lm[est.right_id]]
+        if est.valid:
+            sq_errors.append((est.depth - true_z) ** 2)
         rows.append((est.left_id, est.right_id, "%.6f" % est.score,
                      "%.6f" % est.disparity, int(est.valid),
                      "%.6f" % est.depth if est.valid else "",
-                     "%.6f" % true_z if true_z is not None else "",
-                     "%.6f" % err if err is not None else ""))
+                     "%.6f" % true_z,
+                     "%.6f" % abs(est.depth - true_z) if est.valid else ""))
     rmse = float(np.sqrt(np.mean(sq_errors))) if sq_errors else None
     _write_csv(out_dir, "stereo.csv",
                ["left_patch", "right_patch", "score", "disparity_px",

@@ -29,7 +29,7 @@ VAL_FRACTION = 0.5
 SINKHORN_RESIDUAL_TOL = 1e-6
 
 
-def score_matrix(frame_a, frame_b, model, scorer=None, tables=None):
+def score_matrix(frame_a, frame_b, scorer, tables=None):
     """The (A, B) array S[i][j] = symmetric match score between patch i of
     frame A and patch j of frame B.  Each frame's rows are its (2, A, w)
     or (2, B, w) entry in ``tables``, the ``FrameIndex.frame_tables`` of
@@ -39,7 +39,6 @@ def score_matrix(frame_a, frame_b, model, scorer=None, tables=None):
     patch pairs, and S is 0.5 (d[0] + d[1])."""
     if not frame_a.patches or not frame_b.patches:
         raise ValueError("both frames need at least one patch")
-    scorer = VariantScorer(model) if scorer is None else scorer
     if tables is None:
         tables = FrameIndex([frame_a, frame_b]).frame_tables(scorer)
     a, b = (tables[f.frame_id] for f in (frame_a, frame_b))
@@ -167,7 +166,7 @@ def place_recognition_eval(frame_pairs, model, threshold=None, seed=0,
     residual = 0.0
     for fa, fb in frame_pairs:
         label = same_place_label(fa, fb, radius)
-        s = score_matrix(fa, fb, model, scorer=scorer, tables=tables)
+        s = score_matrix(fa, fb, scorer, tables)
         plan, pair_residual = sinkhorn_assign(s, dustbin, iterations, tau)
         residual = max(residual, pair_residual)
         value = frame_match_score(s, plan)

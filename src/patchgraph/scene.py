@@ -380,16 +380,10 @@ _SEP = rb"(?:\s|#[^\n]*\n)+"
 _PGM_HEADER = re.compile(rb"P5%s(\d+)%s(\d+)%s(\d+)\s" % (_SEP, _SEP, _SEP))
 
 
-def read_image(path):
-    """Read a binary PGM (P5) file written by write_image or any standard
-    tool.  Raises ValueError for anything else, including an empty, cut-off
-    or zero-pixel image."""
-    with open(path, "rb") as fh:
-        return _decode_image(fh.read())
-
-
 def _decode_image(data):
-    """The pixels of the bytes of a binary PGM (P5) file; see read_image."""
+    """The pixels of the bytes of a binary PGM (P5) file, written by
+    write_image or any standard tool.  Raises ValueError for anything
+    else, including an empty, cut-off or zero-pixel image."""
     header = _PGM_HEADER.match(data)
     if header is None:
         raise ValueError("no binary PGM (P5) header")

@@ -2,14 +2,14 @@
 
 The horizontal disparity between a patch's bounding-box centerline in the
 left and right images converts to metric depth through Z = fx * B / d.
-Patch pairs are accepted when the match score clears a high-confidence
-threshold (0.9 by default).
+Each left patch takes its best-scoring right patch in a score matrix the
+caller made (``placerec.score_matrix``), and the pair is accepted when that
+score clears a high-confidence threshold (0.9 by default).
 """
 
 from dataclasses import dataclass
 
 from .config import SCHEMA
-from .placerec import score_matrix
 
 STEREO_MATCH_THRESHOLD = SCHEMA["stereo.gamma"][0]
 
@@ -30,8 +30,11 @@ class DepthEstimate:
     right_id: str
     score: float
     disparity: float
-    valid: bool
     depth: float = None     # meters; None when invalid
+
+    @property
+    def valid(self):
+        return self.depth is not None
 
 
 def centerline_u(bbox):
@@ -65,11 +68,11 @@ def depth_noise_bound(geometry, disparity, pixel_error=0.5):
             / (disparity * (disparity - pixel_error)))
 
 
-def estimate_depths(left_frame, right_frame, model, geometry,
-                    threshold=STEREO_MATCH_THRESHOLD, scorer=None):
-    """Match every left patch to its best-scoring right patch; pairs above
-    the threshold yield depth estimates.  Frames must be rectified."""
-    scores = score_matrix(left_frame, right_frame, model, scorer=scorer)
+def estimate_depths(left_frame, right_frame, scores, geometry,
+                    threshold=STEREO_MATCH_THRESHOLD):
+    """Match every left patch to its best-scoring right patch in the
+    (left, right) ``scores``; pairs above the threshold yield depth
+    estimates.  Frames must be rectified."""
     out = []
     for i, left in enumerate(left_frame.patches):
         j = int(scores[i].argmax())
@@ -81,6 +84,5 @@ def estimate_depths(left_frame, right_frame, model, geometry,
         depth = disparity_to_depth(disparity, geometry) if valid else None
         out.append(DepthEstimate(left_id=left.patch_id,
                                  right_id=right.patch_id, score=s,
-                                 disparity=disparity, valid=valid,
-                                 depth=depth))
+                                 disparity=disparity, depth=depth))
     return out

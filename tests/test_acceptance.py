@@ -55,7 +55,7 @@ from patchgraph.matching import (
     match_score,
     train,
 )
-from patchgraph.placerec import sinkhorn_assign
+from patchgraph.placerec import score_matrix, sinkhorn_assign
 from patchgraph.scene import (
     Frame,
     Landmark3D,
@@ -473,8 +473,8 @@ def test_criterion_09_stereo_depth():
     left, right, true_depth = _stereo_frames()
     oracle = OracleScorer()
 
-    estimates = estimate_depths(left, right, None, geom, threshold=0.5,
-                                scorer=oracle)
+    scores = score_matrix(left, right, oracle)
+    estimates = estimate_depths(left, right, scores, geom, threshold=0.5)
     assert len(estimates) == len(left.patches)
     by_left = {p.patch_id: p.landmark_id for p in left.patches}
     for est in estimates:
@@ -490,8 +490,9 @@ def test_criterion_09_stereo_depth():
             for p, d in zip(right.patches,
                             rng.uniform(-0.5, 0.5, len(right.patches)))]
         noisy = Frame(right.frame_id, right.camera, right.position, shifted)
-        for est in estimate_depths(left, noisy, None, geom, threshold=0.5,
-                                   scorer=oracle):
+        for est in estimate_depths(left, noisy,
+                                   score_matrix(left, noisy, oracle), geom,
+                                   threshold=0.5):
             z = true_depth[by_left[est.left_id]]
             err = est.depth - z
             true_disp = geom.fx * geom.baseline / z

@@ -205,9 +205,9 @@ def test_score_tables_match_the_row_route_bit_for_bit(data):
         want = row_route(rows, scorer).reshape(len(fa.patches),
                                                len(fb.patches))
         for tables in (None, index.frame_tables(scorer)):
-            ab = score_matrix(fa, fb, model, scorer, tables)
+            ab = score_matrix(fa, fb, scorer, tables)
             assert ab.tobytes() == want.tobytes()
-            assert ab.tobytes() == score_matrix(fb, fa, model, scorer,
+            assert ab.tobytes() == score_matrix(fb, fa, scorer,
                                                 tables).T.tobytes()
     patches = [(p, f) for f in frames for p in f.patches]
     picks = data.draw(st.lists(

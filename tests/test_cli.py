@@ -8,8 +8,9 @@ import shutil
 import numpy as np
 import pytest
 
-from patchgraph import scene
+from patchgraph import cli, matching, scene
 from patchgraph.cli import OracleScorer, main
+from patchgraph.config import SCHEMA
 from patchgraph.matching import PAIRINGS, PairCorpus, evaluate
 from patchgraph.placerec import score_matrix
 
@@ -211,8 +212,8 @@ class TestEval:
         want = [[0.01, 0.01, 0.01], [0.99, 0.01, 0.01], [0.01, 0.01, 0.01],
                 [0.01, 0.01, 0.99]]
         oracle = OracleScorer()
-        assert score_matrix(fa, fb, None, oracle).tolist() == want
-        assert score_matrix(fb, fa, None, oracle).T.tolist() == want
+        assert score_matrix(fa, fb, oracle).tolist() == want
+        assert score_matrix(fb, fa, oracle).T.tolist() == want
         corpus = PairCorpus([(pa, fa, pb, fb, 0) for pa in fa.patches
                              for pb in fb.patches])
         scores = evaluate(corpus, None, gamma=0.5, scorer=oracle)["scores"]
@@ -425,6 +426,34 @@ class TestStereo:
                      "--set", "stereo.landmarks=4"] + TINY_MODEL) == 0
         assert "warning:" not in capsys.readouterr().err
 
+    def test_no_estimate_path_scores_the_frames_once(self, workspace,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+        """The trained checkpoint clears no stereo.gamma=0.9, and the
+        warning reads its best score from the matrix the estimates came
+        from: one score_matrix call, one clique per patch of the two
+        8-landmark frames."""
+        calls, cliques = [], []
+        original_scores, original_graph = (cli.score_matrix,
+                                           matching.graph_for_patch)
+
+        def counted_scores(*args, **kwargs):
+            calls.append(args)
+            return original_scores(*args, **kwargs)
+
+        def counted_graph(patch, frame, k):
+            cliques.append(patch.patch_id)
+            return original_graph(patch, frame, k=k)
+
+        monkeypatch.setattr(cli, "score_matrix", counted_scores)
+        monkeypatch.setattr(matching, "graph_for_patch", counted_graph)
+        capsys.readouterr()
+        assert main(["stereo", "--seed", "11", "--out", str(tmp_path / "s"),
+                     "--checkpoint", workspace["checkpoint"]]) == 0
+        assert "no depth was estimated" in capsys.readouterr().err
+        assert len(calls) == 1
+        assert len(cliques) == len(set(cliques)) == 16
+
     def test_depth_range_respected(self, tmp_path):
         out = str(tmp_path / "s")
         assert main(["stereo", "--seed", "5", "--out", out,
@@ -494,6 +523,119 @@ class TestReproducibility:
         assert sorted(trees[0]) == sorted(trees[1])
         for name in trees[0]:
             assert trees[0][name] == trees[1][name], name
+
+
+ORACLE_MATCH = ["stereo.oracle_match=true"]
+# key -> (command, the settings it needs to act, a value at which it moves
+# an output of that command run with its key_run_base arguments)
+KEY_ROWS = {
+    "model.n": ("train", [], "4"),
+    "model.k": ("train", [], "2"),
+    "model.arch": ("train", [], "gcn"),
+    "model.heads": ("train", [], "1"),
+    "model.featurizer": ("train", [], "tiny_conv"),
+    "model.pool": ("train", [], "max"),
+    "model.gamma": ("eval", [], "0.9"),
+    "train.lr": ("train", [], "0.01"),
+    "train.epochs": ("train", [], "2"),
+    "train.batch": ("train", [], "4"),
+    "train.balance": ("train", [], "false"),
+    "synth.scenes": ("synth", [], "3"),
+    "synth.lights": ("synth", [], "1"),
+    "synth.signs": ("synth", [], "1"),
+    "synth.poles": ("synth", [], "1"),
+    "synth.windows": ("synth", [], "1"),
+    "synth.sigma_loc": ("synth", [], "0.5"),
+    "synth.occlusion": ("synth", [], "0.5"),
+    "synth.sigma_pixel": ("synth", [], "0"),
+    # a distance at which the distance rule disagrees with the ids
+    "synth.tau_match": ("synth", [], "30"),
+    "synth.camera_gap": ("synth", [], "2"),
+    "synth.scene_spacing": ("synth", [], "100"),
+    # below the pair count of a scene
+    "synth.max_pairs": ("synth", [], "10"),
+    "place.dustbin": ("place", [], "0.5"),
+    "place.tau": ("place", [], "0.5"),
+    "place.iters": ("place", [], "2"),
+    "place.tune": ("place", [], "false"),
+    "place.gamma_f": ("place", ["place.tune=false"], "0.9"),
+    # above the 200 m between two scenes
+    "place.radius": ("place", [], "300"),
+    "stereo.gamma": ("stereo", ORACLE_MATCH, "0.995"),
+    "stereo.baseline": ("stereo", ORACLE_MATCH, "1"),
+    "stereo.depth_min": ("stereo", ORACLE_MATCH, "10"),
+    "stereo.depth_max": ("stereo", ORACLE_MATCH, "30"),
+    "stereo.landmarks": ("stereo", ORACLE_MATCH, "4"),
+    "stereo.oracle_match": ("stereo", [], "true"),
+    "theory.kl_models": ("verify-theory", [], "8"),
+    "theory.scaling_models": ("verify-theory", [], "3"),
+    "theory.tv_models": ("verify-theory", [], "8"),
+}
+
+
+def key_run_base(workspace):
+    """Each KEY_ROWS command's arguments on the shared workspace."""
+    data = ["--data", workspace["data"]]
+    checkpoint = ["--checkpoint", workspace["checkpoint"]]
+    return {
+        "synth": ["--seed", "3", "--set", "synth.scenes=2"],
+        "train": data + ["--set", "model.n=8", "--set", "model.heads=2",
+                         "--set", "train.epochs=1"],
+        "eval": data + checkpoint,
+        "place": data + checkpoint,
+        "stereo": checkpoint,
+        "verify-theory": ["--set", "theory.kl_models=10",
+                          "--set", "theory.scaling_models=4",
+                          "--set", "theory.tv_models=10"],
+    }
+
+
+def run_outputs(argv, root, monkeypatch):
+    """{path: content} of the files one run writes under ``--out out`` in
+    the new directory ``root``, so paths that reports record agree between
+    runs.  A JSON file is compared without its config_hash, and the
+    checkpoint's config sidecar, which echoes every model.* value, is left
+    out."""
+    root.mkdir()
+    monkeypatch.chdir(root)
+    assert main(argv + ["--out", "out"]) == 0, argv
+    found = {}
+    for path in sorted(root.rglob("*")):
+        if not path.is_file() or path.name.endswith(".config.json"):
+            continue
+        content = path.read_bytes()
+        if path.suffix == ".json":
+            content = json.loads(content)
+            content.pop("config_hash", None)
+        found[str(path.relative_to(root))] = content
+    return found
+
+
+@pytest.fixture(scope="module")
+def base_outputs():
+    """run_outputs of each base command line, shared by the KEY_ROWS
+    that run it."""
+    return {}
+
+
+class TestEveryConfigKey:
+    @pytest.mark.parametrize("key", sorted(SCHEMA.keys() | KEY_ROWS.keys()))
+    def test_key_moves_an_output(self, key, workspace, base_outputs,
+                                 tmp_path, monkeypatch):
+        """Every config.SCHEMA key has a row, and at the row's value it
+        changes the bytes of some output of the row's command."""
+        assert key in SCHEMA, "row for %s, which is not a config key" % key
+        assert key in KEY_ROWS, "config key %s has no row" % key
+        command, needs, value = KEY_ROWS[key]
+        argv = [command] + key_run_base(workspace)[command]
+        for setting in needs:
+            argv += ["--set", setting]
+        if tuple(argv) not in base_outputs:
+            base_outputs[tuple(argv)] = run_outputs(argv, tmp_path / "base",
+                                                    monkeypatch)
+        moved = run_outputs(argv + ["--set", "%s=%s" % (key, value)],
+                            tmp_path / "moved", monkeypatch)
+        assert moved != base_outputs[tuple(argv)]
 
 
 class TestVerifyTheory:

@@ -72,7 +72,7 @@ class TestScoreMatrix:
         model = init_model(ModelConfig(n=4, k=2), seed=0)
         fa = make_frame("f0", 1, (0, 0, 0), rng)
         fb = make_frame("f1", 1, (1, 0, 0), rng)
-        s = score_matrix(fa, fb, model)
+        s = score_matrix(fa, fb, matching.VariantScorer(model))
         r = match_score(fa.patches[0], fa, fb.patches[0], fb, model)
         assert s.shape == (1, 1)
         assert s[0, 0] == r.score
@@ -82,8 +82,8 @@ class TestScoreMatrix:
         model = init_model(ModelConfig(n=4, k=2), seed=1)
         fa = make_frame("f0", 3, (0, 0, 0), rng)
         fb = make_frame("f1", 2, (1, 0, 0), rng)
-        ab = score_matrix(fa, fb, model)
-        ba = score_matrix(fb, fa, model)
+        ab = score_matrix(fa, fb, matching.VariantScorer(model))
+        ba = score_matrix(fb, fa, matching.VariantScorer(model))
         np.testing.assert_array_equal(ab, ba.T)
 
     def test_two_frames_with_one_id_rejected(self):
@@ -94,8 +94,8 @@ class TestScoreMatrix:
         fa = make_frame("s000/a", 3, (0, 0, 0), rng)
         other = make_frame("s000/a", 3, (1, 0, 0), rng)
         with pytest.raises(ValueError, match="s000/a"):
-            score_matrix(fa, other, model)
-        same = score_matrix(fa, fa, model)
+            score_matrix(fa, other, matching.VariantScorer(model))
+        same = score_matrix(fa, fa, matching.VariantScorer(model))
         assert same.shape == (3, 3)
         np.testing.assert_array_equal(same, same.T)
 
@@ -113,8 +113,9 @@ class TestScoreMatrix:
             d_xy, d_yx = matching.VariantScorer(model).score_rows(rows).data
         want = (0.5 * (d_xy + d_yx)).reshape(7, 5)
         monkeypatch.setattr(placerec, "INFERENCE_CHUNK", chunk)
-        assert score_matrix(fa, fb, model).tobytes() == want.tobytes()
-        assert score_matrix(fb, fa, model).T.tobytes() == want.tobytes()
+        scorer = matching.VariantScorer(model)
+        assert score_matrix(fa, fb, scorer).tobytes() == want.tobytes()
+        assert score_matrix(fb, fa, scorer).T.tobytes() == want.tobytes()
 
     def test_empty_frame_rejected(self):
         rng = np.random.default_rng(2)
@@ -123,7 +124,7 @@ class TestScoreMatrix:
         empty = Frame("f1", standard_camera(position=(0, 0, 0)),
                       np.zeros(3), [])
         with pytest.raises(ValueError):
-            score_matrix(fa, empty, model)
+            score_matrix(fa, empty, matching.VariantScorer(model))
         # frame pairs without a single patch name the empty frame too
         other = Frame("f2", standard_camera(position=(0, 0, 0)),
                       np.zeros(3), [])
@@ -137,7 +138,7 @@ class TestScoreMatrix:
                            seed=271)
         fa = make_frame("f0", 3, (0, 0, 0), rng)
         fb = make_frame("f1", 4, (3, 0, 0), rng)
-        s = score_matrix(fa, fb, model)
+        s = score_matrix(fa, fb, matching.VariantScorer(model))
         np.testing.assert_allclose(s, np.asarray(golden["scores"]),
                                    atol=1e-12)
         plan, _ = sinkhorn_assign(s)
@@ -457,7 +458,7 @@ class TestPlaceRecognitionEval:
         pairs = [(a, b) for i, a in enumerate(frames) for b in frames[i + 1:]]
         expected = []
         for fa, fb in pairs:
-            s = score_matrix(fa, fb, model)
+            s = score_matrix(fa, fb, matching.VariantScorer(model))
             value = frame_match_score(s, sinkhorn_assign(s)[0])
             expected.append((fa.frame_id, fb.frame_id, value,
                              int(value > 0.5), same_place_label(fa, fb)))
@@ -510,7 +511,7 @@ class TestPlaceRecognitionEval:
         for iterations in (2, 100):
             want, rows = 0.0, []
             for fa, fb in pairs:
-                s = score_matrix(fa, fb, model)
+                s = score_matrix(fa, fb, matching.VariantScorer(model))
                 plan, residual = sinkhorn_assign(s, dustbin=dustbin,
                                                  iterations=iterations)
                 want = max(want, residual)
@@ -535,7 +536,7 @@ class TestPlaceRecognitionEval:
         model = init_model(ModelConfig(n=4, k=2), seed=8)
         calls = count_lse_calls(monkeypatch)
         for fa, fb in self._pairs(rng)[:3]:
-            s = score_matrix(fa, fb, model)
+            s = score_matrix(fa, fb, matching.VariantScorer(model))
             calls.clear()
             plan, residual = sinkhorn_assign(s, dustbin=-5.0, iterations=100)
             assert len(calls) == 200

@@ -268,7 +268,7 @@ def test_pgm_round_trip(tmp_path):
     img = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
     path = tmp_path / "x.pgm"
     sc.write_image(path, img)
-    np.testing.assert_array_equal(sc.read_image(path), img)
+    np.testing.assert_array_equal(sc._decode_image(path.read_bytes()), img)
 
 
 def test_rgb_image_rejected(tmp_path):
@@ -279,7 +279,7 @@ def test_rgb_image_rejected(tmp_path):
     path = tmp_path / "x.ppm"
     path.write_bytes(b"P6\n6 4\n255\n" + img.tobytes())
     with pytest.raises(ValueError):
-        sc.read_image(path)
+        sc._decode_image(path.read_bytes())
 
 
 @pytest.mark.parametrize("data", [b"", b"P5\n3 2\n", b"P5\n0 0\n255\n"],
@@ -289,7 +289,7 @@ def test_malformed_pgm_rejected(tmp_path, data):
     path = tmp_path / "bad.pgm"
     path.write_bytes(data)
     with pytest.raises(ValueError):
-        sc.read_image(path)
+        sc._decode_image(path.read_bytes())
 
 
 def test_read_image_with_comment_header(tmp_path):
@@ -297,7 +297,7 @@ def test_read_image_with_comment_header(tmp_path):
     path = tmp_path / "c.pgm"
     with open(path, "wb") as fh:
         fh.write(b"P5\n# a comment\n3 2\n255\n" + img.tobytes())
-    np.testing.assert_array_equal(sc.read_image(path), img)
+    np.testing.assert_array_equal(sc._decode_image(path.read_bytes()), img)
 
 
 def test_dataset_round_trip(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import patchgraph.autodiff as ad
-from patchgraph.matching import ModelConfig, init_model
+from patchgraph.matching import ModelConfig, VariantScorer, init_model
+from patchgraph.placerec import score_matrix
 from patchgraph.scene import (
     Landmark3D,
     NoiseConfig,
@@ -177,9 +178,8 @@ class TestEstimateDepths:
     def test_end_to_end_with_oracle_matching(self):
         left, right, landmarks = stereo_frames(seed=4)
         geom = StereoGeometry(fx=700.0, baseline=BASELINE)
-        model = init_model(ModelConfig(n=4, k=2), seed=0)
-        estimates = estimate_depths(left, right, model, geom,
-                                    scorer=LandmarkScorer())
+        scores = score_matrix(left, right, LandmarkScorer())
+        estimates = estimate_depths(left, right, scores, geom)
         matched_lms = {p.landmark_id for p in left.patches} & \
             {p.landmark_id for p in right.patches}
         assert len(estimates) == len(matched_lms)
@@ -195,14 +195,14 @@ class TestEstimateDepths:
         geom = StereoGeometry(fx=700.0, baseline=BASELINE)
         model = init_model(ModelConfig(n=4, k=2), seed=1)
         # untrained model scores hover near 0.5, under the 0.9 threshold
-        estimates = estimate_depths(left, right, model, geom)
+        scores = score_matrix(left, right, VariantScorer(model))
+        estimates = estimate_depths(left, right, scores, geom)
         assert estimates == []
 
     def test_math_consistency_of_estimates(self):
         left, right, _ = stereo_frames(seed=6)
         geom = StereoGeometry(fx=700.0, baseline=BASELINE)
-        model = init_model(ModelConfig(n=4, k=2), seed=2)
-        for est in estimate_depths(left, right, model, geom,
-                                   scorer=LandmarkScorer()):
+        scores = score_matrix(left, right, LandmarkScorer())
+        for est in estimate_depths(left, right, scores, geom):
             assert est.depth == disparity_to_depth(est.disparity, geom)
             assert math.isfinite(est.depth)
